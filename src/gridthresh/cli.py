@@ -2,7 +2,9 @@
 
 Subcommands: count, oracle, oeis, teach, asympt, bench.  Big integers are
 always rendered as exact decimal strings.  Exit codes: 0 success (and all
-checks matched), 1 usage error, 2 capacity error, 3 validation mismatch.
+checks matched), 1 usage error, 2 capacity error, 3 validation mismatch
+(a formula or oracle disagreement, or a gap in the oracle's candidate-line
+family; the witness goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .asymptotics import reports_to_csv, residual_sweep
 from .counting import breakdown, count_p, count_total
-from .errors import CapacityError
+from .errors import CandidateFamilyError, CapacityError
 from .grid import GridSpec
 from .numtheory import sieve, u_mobius
 from .oracle import cross_validate, dump_functions, enumerate_by_lines, enumerate_by_subsets
@@ -74,12 +76,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         "m": grid.m,
         "n": grid.n,
     }
+    b = breakdown(grid, tables) if args.breakdown else None
+    total = b.total if b is not None else count_total(grid, tables)
     if args.k is not None:
         record["k"] = args.k
-        record["P"] = str(count_p(args.k, tables))
-    record["total"] = str(count_total(grid, tables))
-    if args.breakdown:
-        b = breakdown(grid, tables)
+        record["P"] = str(total)
+    record["total"] = str(total)
+    if b is not None:
         record["stable"] = str(b.stable)
         record["unstable"] = str(b.unstable)
         record["f_class"] = str(b.f_class)
@@ -93,15 +96,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = GridSpec(args.m, args.n)
     tables = sieve(max(1, min(grid.m, grid.n)))
     started = time.perf_counter()
-    # honour the requested method's capacity limits before validating
-    dump_source = None
-    if args.method in ("subsets", "both"):
-        dump_source = enumerate_by_subsets(grid)
-    if args.method in ("lines", "both"):
-        dump_source = enumerate_by_lines(grid)
-    if args.dump and dump_source is not None:
-        dump_functions(dump_source, args.dump)
-    report = cross_validate(grid, tables)
+    # honour the requested method's capacity limits before validating;
+    # cross_validate reuses these results and runs any other oracle that fits
+    subsets = enumerate_by_subsets(grid) if args.method in ("subsets", "both") else None
+    lines = enumerate_by_lines(grid) if args.method in ("lines", "both") else None
+    if args.dump:
+        dump_functions(lines if lines is not None else subsets, args.dump)
+    report = cross_validate(grid, tables, subsets=subsets, lines=lines)
     record = {
         "command": "oracle",
         "m": grid.m,
@@ -279,6 +280,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except CandidateFamilyError as exc:
+        print(f"validation mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -12,14 +12,22 @@ zero) the stable/unstable split is
 
 with N = 2(|F| + 1).  The k-valued square case is P(k, 2) = N(k-1, k-1).
 
+Each formula is written once.  count_total evaluates 4V(m, n) and
+count_unstable evaluates U(m, n) and 4V((m-1)/2, (n-1)/2); breakdown
+calls each of them once and assembles |F| = N/2 - 1 and
+stable = |F| - unstable, which expands to the stable formula above.  A
+breakdown therefore costs one evaluation of each kernel, and
+count_stable reads its value from that assembly.
+
 All counts are exact Python integers; V flows through the quadrupled
 integer representation so the 2V/4V/8V consumers never see a rational.
 
 The split formulas are derived for proper rectangles (m, n >= 1).  On
-degenerate grids the breakdown is computed from the geometric argument
-instead (every non-constant function on a collinear grid is an anchored
-run, stable under the limit-rotation convention; see geometry.classify),
-and the breakdown records that provenance.
+degenerate grids the split comes from the geometric argument instead:
+every non-constant function on a collinear grid is an anchored run,
+stable under the limit-rotation convention (see geometry.classify), so
+unstable = 0 and stable = |F| = m + n.  The breakdown records that
+provenance.
 """
 
 from __future__ import annotations
@@ -74,42 +82,31 @@ def count_p(k: int, tables: NTTables) -> int:
     return count_total(GridSpec(k - 1, k - 1), tables)
 
 
-def _eight_v_half(grid: GridSpec, tables: NTTables) -> int:
-    """8 V((m-1)/2, (n-1)/2) as an exact integer."""
-    quad = v_fast(HalfInt(grid.m - 1), HalfInt(grid.n - 1), tables).quadrupled
-    return 2 * quad
-
-
 def count_unstable(grid: GridSpec, tables: NTTables) -> int:
     """Unstable functions in F; geometric value (0) on degenerate grids."""
     _require_tables(grid, tables)
     if grid.is_degenerate:
         return 0
     u = u_mobius(grid.m, grid.n, tables)
-    return 2 * grid.m * grid.n - u + _eight_v_half(grid, tables)
+    four_v_half = v_fast(HalfInt(grid.m - 1), HalfInt(grid.n - 1), tables).quadrupled
+    return 2 * grid.m * grid.n - u + 2 * four_v_half
 
 
 def count_stable(grid: GridSpec, tables: NTTables) -> int:
     """Stable functions in F; geometric value (m + n) on degenerate grids."""
-    _require_tables(grid, tables)
-    if grid.is_degenerate:
-        return grid.m + grid.n
-    u = u_mobius(grid.m, grid.n, tables)
-    four_v = v_fast(grid.m, grid.n, tables).quadrupled
-    assert four_v % 2 == 0, "2V(m, n) must be an integer"
-    return grid.m + grid.n + u + four_v // 2 - _eight_v_half(grid, tables)
+    return breakdown(grid, tables).stable
 
 
 def breakdown(grid: GridSpec, tables: NTTables) -> CountBreakdown:
     """Stable/unstable/|F|/total for one grid, with provenance."""
     total = count_total(grid, tables)
-    stable = count_stable(grid, tables)
     unstable = count_unstable(grid, tables)
+    f_class = total // 2 - 1
     return CountBreakdown(
         grid=grid,
-        stable=stable,
+        stable=f_class - unstable,
         unstable=unstable,
-        f_class=stable + unstable,
+        f_class=f_class,
         total=total,
         provenance="geometric" if grid.is_degenerate else "formula",
     )

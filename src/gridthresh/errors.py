@@ -9,3 +9,12 @@ class CapacityError(Exception):
     grid cap, and integer work that would leave the checked int64 envelope
     of the vectorised fast paths.
     """
+
+
+class CandidateFamilyError(AssertionError):
+    """The candidate-line family failed to account for a separable zero-set.
+
+    An internal fault of the line oracle, not a usage error: a function the
+    subset oracle found is missing from the candidate scan, or an unstable
+    one lacks a unique vertex.  The message carries the witness zero-set.
+    """

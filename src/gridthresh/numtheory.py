@@ -2,8 +2,8 @@
 
 Provides the arithmetic backbone for the counting formulas:
 
-    mu(s)       Moebius function, sieved
-    phi(s)      Euler totient, sieved
+    mu(s)       Moebius function, sieved eagerly
+    phi(s)      Euler totient, sieved on first use
     Phi(k)   =  sum_{i<=k} phi(i)                 (integer)
     Psi(k)   =  sum_{i<=k} phi(i)/i               (exact rational)
     U(p, q)  =  #{(a, b) : 1<=a<=p, 1<=b<=q, gcd(a, b) = 1}
@@ -31,9 +31,10 @@ with the overflow envelope checked, never assumed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -120,58 +121,105 @@ class QuarterInt:
 
 @dataclass(frozen=True, eq=False)
 class NTTables:
-    """Sieved arithmetic tables up to ``limit``, immutable once built.
+    """Sieved arithmetic tables up to ``limit``.
 
-    mu and phi are indexed 1..limit (index 0 is a zero sentinel).  Phi is
-    the cumulative totient.  Psi is exposed through :meth:`psi` as an exact
-    Fraction, materialised lazily: an eager array of exact Psi values is
-    impossible at large limits (the reduced denominator of Psi(k) grows
-    like lcm(1..k)), while the float view ``psi_float`` is always eager.
-    The arrays are read-only, so a single instance is safe to share across
+    mu is built eagerly by :func:`sieve`; it is the only table the counting
+    formulas read.  phi, Phi (the cumulative totient) and ``psi_float``
+    (Psi in float64) are built together on first access to any of them;
+    exact Psi is exposed through :meth:`psi` as a Fraction, its prefix
+    extended on demand (an eager array of exact Psi values is impossible at
+    large limits: the reduced denominator of Psi(k) grows like lcm(1..k)).
+    Arrays are indexed 1..limit (index 0 is a zero sentinel) and read-only.
+    Every lazy build and every extension of the Psi prefix happens under
+    one per-instance lock, so a single instance is safe to share across
     threads.
     """
 
     limit: int
     mu: np.ndarray
-    phi: np.ndarray
-    Phi: np.ndarray
-    psi_float: np.ndarray
-    _psi_cache: list[Fraction] = field(default_factory=list, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _totients: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _psi_cache: list[Fraction] = field(default_factory=lambda: [Fraction(0)], repr=False)
+
+    def _totient_table(self, name: str) -> np.ndarray:
+        with self._lock:
+            if not self._totients:
+                self._totients.update(_totient_tables(self.limit))
+            return self._totients[name]
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Euler totient, built on first access."""
+        return self._totient_table("phi")
+
+    @property
+    def Phi(self) -> np.ndarray:
+        """Cumulative totient sum_{i<=k} phi(i), built on first access."""
+        return self._totient_table("Phi")
+
+    @property
+    def psi_float(self) -> np.ndarray:
+        """Psi(k) = sum_{i<=k} phi(i)/i in float64, built on first access."""
+        return self._totient_table("psi_float")
 
     def psi(self, k: int) -> Fraction:
         """Exact Psi(k) = sum_{i<=k} phi(i)/i."""
         if not 1 <= k <= self.limit:
             raise ValueError(f"psi argument {k} outside 1..{self.limit}")
-        cache = self._psi_cache
-        if not cache:
-            cache.append(Fraction(0))
-        while len(cache) <= k:
-            i = len(cache)
-            cache.append(cache[-1] + Fraction(int(self.phi[i]), i))
-        return cache[k]
+        phi = self.phi
+        with self._lock:
+            cache = self._psi_cache
+            while len(cache) <= k:
+                i = len(cache)
+                cache.append(cache[-1] + Fraction(int(phi[i]), i))
+            return cache[k]
+
+
+def _small_primes(root: int) -> Iterator[int]:
+    """The primes <= root, by an Eratosthenes pass over a boolean array."""
+    composite = np.zeros(root + 1, dtype=bool)
+    for p in range(2, root + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+            yield p
 
 
 def sieve(limit: int) -> NTTables:
-    """Build mu, phi, Phi and the Psi views up to ``limit``.
+    """Build mu up to ``limit``; phi, Phi and the Psi views follow lazily.
 
-    Linear-in-output vectorised sieve: primes up to sqrt(limit) strip small
-    factors; whatever cofactor remains is 1 or a single prime > sqrt(limit),
-    fixed up in one vector pass.  Runs in ~0.1 s at limit = 10^6.
+    Each prime p <= sqrt(limit) flips the sign of mu at its multiples,
+    zeroes it at the multiples of p^2, and multiplies p into ``rad``, the
+    product of the distinct small primes of each index.  A squarefree index
+    larger than its rad has exactly one prime factor > sqrt(limit), which
+    flips its sign once more in a single vector pass.  Runs in ~25 ms at
+    limit = 10^6.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
     n = limit
+    # rad(x) <= x, so int32 holds it below 2^31 and halves the memory traffic
+    dtype = np.int32 if n < 2**31 else np.int64
     mu = np.ones(n + 1, dtype=np.int8)
-    phi = np.ones(n + 1, dtype=np.int64)
-    small = np.ones(n + 1, dtype=np.int64)  # product of p^a over primes p <= sqrt(n)
-    root = math.isqrt(n)
-    composite = np.zeros(root + 1, dtype=bool)
-    for p in range(2, root + 1):
-        if composite[p]:
-            continue
-        composite[p * p :: p] = True
+    rad = np.ones(n + 1, dtype=dtype)
+    for p in _small_primes(math.isqrt(n)):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+        rad[p::p] *= p
+    mu[rad != np.arange(n + 1, dtype=dtype)] *= -1
+    mu[0] = 0
+    mu.flags.writeable = False
+    return NTTables(limit=n, mu=mu)
+
+
+def _totient_tables(n: int) -> dict[str, np.ndarray]:
+    """phi, Phi and psi_float up to n, read-only.
+
+    Primes up to sqrt(n) strip small factors; whatever cofactor remains is
+    1 or a single prime > sqrt(n), fixed up in one vector pass.
+    """
+    phi = np.ones(n + 1, dtype=np.int64)
+    small = np.ones(n + 1, dtype=np.int64)  # product of p^a over primes p <= sqrt(n)
+    for p in _small_primes(math.isqrt(n)):
         phi[p::p] *= p - 1
         small[p::p] *= p
         pk = p * p
@@ -181,19 +229,15 @@ def sieve(limit: int) -> NTTables:
             pk *= p
     cofactor = np.arange(n + 1, dtype=np.int64) // small
     big = cofactor > 1  # exactly one prime factor > sqrt(n) remains
-    mu[big] *= -1
     phi[big] *= cofactor[big] - 1
-    mu[0] = 0
     phi[0] = 0
     Phi = np.cumsum(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = phi.astype(np.float64)
-        ratios[1:] /= np.arange(1, n + 1, dtype=np.float64)
-        ratios[0] = 0.0
+    ratios = phi.astype(np.float64)
+    ratios[1:] /= np.arange(1, n + 1, dtype=np.float64)
     psi_float = np.cumsum(ratios)
-    for arr in (mu, phi, Phi, psi_float):
+    for arr in (phi, Phi, psi_float):
         arr.flags.writeable = False
-    return NTTables(limit=n, mu=mu, phi=phi, Phi=Phi, psi_float=psi_float)
+    return {"phi": phi, "Phi": Phi, "psi_float": psi_float}
 
 
 def u_naive(p: int, q: int) -> int:

@@ -15,7 +15,9 @@ Two independent enumerations of all threshold functions on a grid:
 Function identity is extensional: zero bit-sets, deduplicated by hash.
 The subset oracle is the arbiter wherever it can run; cross_validate
 reports any disagreement between the oracles and the formulas with the
-disputed bit-sets as witnesses.
+disputed bit-sets as witnesses.  A subset function missing from the
+candidate family is an internal fault and raises CandidateFamilyError
+with its zero-set as witness.
 
 Subset enumeration prunes with a necessary condition before the hull
 test: a half-plane meets each grid row in an interval anchored at one end
@@ -32,7 +34,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .counting import breakdown
-from .errors import CapacityError
+from .errors import CandidateFamilyError, CapacityError
 from .geometry import CandidateScan, Point, ThresholdFn, scan_candidates
 from .grid import GridSpec
 from .numtheory import NTTables
@@ -230,7 +232,8 @@ def enumerate_by_subsets(grid: GridSpec, point_cap: int = SUBSET_POINT_CAP) -> E
     Ground truth by definition; capacity-limited to 2^point_cap subsets.
     The stable/unstable tallies are attached afterwards from a candidate
     scan (classification is a statement about lines); a subset function
-    the candidate family misses would be a family gap and raises.
+    the candidate family misses would be a family gap and raises
+    CandidateFamilyError.
     """
     if grid.point_count > point_cap:
         raise CapacityError(
@@ -278,16 +281,17 @@ def _classify_f_members(
     vertices: dict[int, Point] = {}
     for m in f_masks:
         if m not in scan.masks:
-            raise AssertionError(
-                f"candidate family missed a separable zero-set on grid "
-                f"({grid.m}, {grid.n}): {m:b}"
-            )
+            raise CandidateFamilyError(_witness(
+                grid, m, f"candidate family missed a separable zero-set on grid "
+                         f"({grid.m}, {grid.n})"))
         if m in scan.stable_masks:
             stable += 1
         else:
             points = scan.pointed_singletons.get(m, frozenset())
             if len(points) != 1:
-                raise AssertionError(f"unstable mask {m:b} lacks a unique vertex")
+                raise CandidateFamilyError(_witness(
+                    grid, m, f"unstable zero-set on grid ({grid.m}, {grid.n}) "
+                             f"lacks a unique vertex"))
             unstable += 1
             vertices[m] = next(iter(points))
     return stable, unstable, vertices, scan
@@ -343,16 +347,21 @@ class CrossValidationReport:
 
 def cross_validate(grid: GridSpec, tables: NTTables,
                    point_cap: int = SUBSET_POINT_CAP,
-                   extent_cap: int = LINES_EXTENT_CAP) -> CrossValidationReport:
+                   extent_cap: int = LINES_EXTENT_CAP,
+                   *, subsets: Optional[EnumerationResult] = None,
+                   lines: Optional[EnumerationResult] = None) -> CrossValidationReport:
     """Run whichever oracles fit the grid and compare them to the formulas.
+
+    ``subsets`` and ``lines`` are results of enumerate_by_subsets and
+    enumerate_by_lines for this grid that the caller already holds; they
+    are used as given, and only the oracles not passed in are run.
 
     Mismatches are report content, not errors; each carries the disputed
     bit-sets as witnesses.
     """
-    subsets = lines = None
-    if grid.point_count <= point_cap:
+    if subsets is None and grid.point_count <= point_cap:
         subsets = enumerate_by_subsets(grid, point_cap)
-    if max(grid.m, grid.n) <= extent_cap:
+    if lines is None and max(grid.m, grid.n) <= extent_cap:
         lines = enumerate_by_lines(grid, extent_cap)
     if subsets is None and lines is None:
         raise CapacityError(f"grid ({grid.m}, {grid.n}) is beyond both oracle ranges")

@@ -1,10 +1,12 @@
 """CLI contract tests: outputs, formats, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from gridthresh import GridSpec, count_total, sieve
+import gridthresh.oracle
+from gridthresh import GridSpec, count_p, count_total, sieve
 from gridthresh.cli import EXIT_CAPACITY, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -21,6 +23,15 @@ def test_count_by_k(capsys):
     assert record["P"] == "14"
     assert record["total"] == "14"
     assert record["m"] == 1 and record["n"] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 17, 1000])
+@pytest.mark.parametrize("extra", [(), ("--breakdown",)])
+def test_count_by_k_reports_p_as_total(capsys, k, extra):
+    code, out, _ = run(capsys, "count", "--k", str(k), *extra)
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["P"] == record["total"] == str(count_p(k, sieve(k)))
 
 
 def test_count_degenerate_grid(capsys):
@@ -93,6 +104,42 @@ def test_oracle_capacity_exit(capsys):
     code, _, err = run(capsys, "oracle", "--m", "10", "--n", "10", "--method", "subsets")
     assert code == EXIT_CAPACITY
     assert "capacity" in err.lower()
+
+
+def test_oracle_scans_once_per_oracle_and_ignores_method(capsys, monkeypatch):
+    scans = []
+    original = gridthresh.oracle.scan_candidates
+
+    def counted(grid):
+        scans.append(grid)
+        return original(grid)
+
+    monkeypatch.setattr(gridthresh.oracle, "scan_candidates", counted)
+    records = {}
+    for method in ("subsets", "lines", "both"):
+        scans.clear()
+        code, out, _ = run(capsys, "oracle", "--m", "3", "--n", "2", "--method", method)
+        assert code == EXIT_OK
+        assert len(scans) == 2   # one per oracle: subset tallies, line enumeration
+        record = json.loads(out)
+        record.pop("elapsed_ms")
+        assert record.pop("method") == method
+        records[method] = record
+    assert records["subsets"] == records["lines"] == records["both"]
+
+
+def test_oracle_family_gap_exits_mismatch(capsys, monkeypatch):
+    original = gridthresh.oracle.scan_candidates
+
+    def lossy(grid):
+        scan = original(grid)
+        victim = min(m for m in scan.masks if m & 1 and m != (1 << grid.point_count) - 1)
+        return dataclasses.replace(scan, masks=scan.masks - {victim})
+
+    monkeypatch.setattr(gridthresh.oracle, "scan_candidates", lossy)
+    code, _, err = run(capsys, "oracle", "--m", "2", "--n", "2")
+    assert code == EXIT_MISMATCH
+    assert "candidate family missed" in err and "zeros=" in err
 
 
 def test_oracle_dump(capsys, tmp_path):

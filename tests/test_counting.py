@@ -7,6 +7,8 @@ oracle and frozen here; the oracle-equivalence tests recompute them live.
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridthresh import (
     GridSpec,
@@ -17,7 +19,10 @@ from gridthresh import (
     count_unstable,
     enumerate_by_subsets,
     sieve,
+    u_naive,
+    v_naive,
 )
+from gridthresh.numtheory import HalfInt
 
 TABLES = sieve(256)
 
@@ -134,3 +139,34 @@ def test_insufficient_sieve_raises():
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(-1, 2)
+
+
+def breakdown_from_naive_kernels(m: int, n: int) -> tuple[int, int, int, int]:
+    """(stable, unstable, |F|, total) assembled from the paper's formulas."""
+    four_v = v_naive(m, n).quadrupled
+    total = (2 * m + 1) * (2 * n + 1) + 1 + four_v
+    if m == 0 or n == 0:
+        stable, unstable = m + n, 0
+    else:
+        u = u_naive(m, n)
+        eight_v_half = 2 * v_naive(HalfInt(m - 1), HalfInt(n - 1)).quadrupled
+        stable = m + n + u + four_v // 2 - eight_v_half
+        unstable = 2 * m * n - u + eight_v_half
+    return stable, unstable, stable + unstable, total
+
+
+@given(st.integers(0, 30), st.integers(0, 30))
+def test_breakdown_equals_naive_assembly(m, n):
+    b = breakdown(GridSpec(m, n), TABLES)
+    fields = (b.stable, b.unstable, b.f_class, b.total)
+    assert fields == breakdown_from_naive_kernels(m, n)
+    t = breakdown(GridSpec(n, m), TABLES)
+    assert (t.stable, t.unstable, t.f_class, t.total) == fields
+    assert b.total == 2 * (b.f_class + 1)
+
+
+def test_counting_builds_no_totient_table():
+    tables = sieve(1000)
+    breakdown(GridSpec(1000, 700), tables)
+    count_p(1001, tables)
+    assert not tables._totients

@@ -7,6 +7,8 @@ acceptance suite widens the same equivalences to their full ranges.
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +97,46 @@ def test_sieve_matches_definitions():
     for x in range(1, 401):
         assert t.mu[x] == mu_by_definition(x), x
         assert t.phi[x] == phi_by_definition(x), x
+
+
+MU_BY_DEFINITION = [0] + [mu_by_definition(x) for x in range(1, 363)]
+
+
+@pytest.mark.parametrize("limits", [
+    range(1, 201),
+    # the large-prime fix-up depends on isqrt(limit): straddle p^2 for p = 11, 13, 19
+    (120, 121, 122, 168, 169, 170, 360, 361, 362),
+])
+def test_mu_sieve_matches_definition_at_every_limit(limits):
+    for limit in limits:
+        assert sieve(limit).mu.tolist() == MU_BY_DEFINITION[: limit + 1], limit
+
+
+def test_psi_cache_is_thread_safe():
+    expected = sieve(3000).psi(3000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            tables = sieve(3000)
+            results: list = []
+
+            def work() -> None:
+                try:
+                    results.append(tables.psi(3000))
+                except Exception as exc:  # a corrupted cache raises, e.g. IndexError
+                    results.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 4
+            assert tables.psi(2999) + Fraction(int(tables.phi[3000]), 3000) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_divisor_sum_identities():
