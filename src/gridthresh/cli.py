@@ -3,8 +3,8 @@
 Subcommands: count, oracle, oeis, teach, asympt, bench.  Big integers are
 always rendered as exact decimal strings.  Exit codes: 0 success (and all
 checks matched), 1 usage error, 2 capacity error, 3 validation mismatch
-(a formula or oracle disagreement, or a gap in the oracle's candidate-line
-family; the witness goes to stderr).
+(a formula or oracle disagreement, or a gap in the candidate-line family
+found by `oracle` or `teach`; the witness goes to stderr).
 """
 
 from __future__ import annotations
@@ -97,9 +97,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     tables = sieve(max(1, min(grid.m, grid.n)))
     started = time.perf_counter()
     # honour the requested method's capacity limits before validating;
-    # cross_validate reuses these results and runs any other oracle that fits
+    # cross_validate reuses these results and runs any other oracle that
+    # fits, every oracle on the first one's candidate scan
     subsets = enumerate_by_subsets(grid) if args.method in ("subsets", "both") else None
-    lines = enumerate_by_lines(grid) if args.method in ("lines", "both") else None
+    lines = None
+    if args.method in ("lines", "both"):
+        lines = enumerate_by_lines(grid, scan=subsets.scan if subsets is not None else None)
     if args.dump:
         dump_functions(lines if lines is not None else subsets, args.dump)
     report = cross_validate(grid, tables, subsets=subsets, lines=lines)

@@ -6,15 +6,17 @@ class CapacityError(Exception):
 
     Raised instead of silently truncating or overflowing: subset enumeration
     past 2^20 dichotomies, candidate-line enumeration past the configured
-    grid cap, and integer work that would leave the checked int64 envelope
-    of the vectorised fast paths.
+    grid cap, the teaching-set search past its point cap, and integer work
+    that would leave the checked int64 envelope of the vectorised fast
+    paths.
     """
 
 
 class CandidateFamilyError(AssertionError):
     """The candidate-line family failed to account for a separable zero-set.
 
-    An internal fault of the line oracle, not a usage error: a function the
-    subset oracle found is missing from the candidate scan, or an unstable
-    one lacks a unique vertex.  The message carries the witness zero-set.
+    An internal fault of the candidate scan, not a usage error: a zero-set
+    the subset oracle or the teaching search classifies is missing from
+    the scan, or an unstable one lacks a unique vertex.  The message
+    carries the witness zero-set.
     """

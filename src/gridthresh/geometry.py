@@ -12,26 +12,30 @@ defining line passes through at least two lattice points; otherwise it is
 *unstable* and all its defining pointed lines share a single lattice
 point, the vertex.
 
-The candidate family scanned by classification (and reused by the
-enumeration oracle) consists of every line with a primitive direction
+The candidate family consists of every line with a primitive direction
 (dx, dy), |dx| <= 2m+1, |dy| <= 2n+1, at every offset through a lattice
 point plus the half-step offsets on either side, in both orientations.
 Stable directions are differences of lattice points (components within
 m, n); a defining line of an unstable function can be chosen with the
 mediant of the two adjacent stable directions at its vertex (components
-within 2m, 2n); the extra margin of one covers the axis cases.  The
-subset-separability oracle independently corroborates this family on
-every grid where both run.
+within 2m, 2n); the extra margin of one covers the axis cases.
+
+scan_candidates evaluates the family once per grid, and
+CandidateScan.classify is the one stable/unstable classifier: classify,
+both enumeration oracles and the teaching search all read it from a
+single scan.  The subset-separability oracle independently corroborates
+the family on every grid where both oracles run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional
 
 import numpy as np
 
+from .errors import CandidateFamilyError
 from .grid import GridSpec, Point
 
 
@@ -80,25 +84,6 @@ class Line:
         a, b = dy // g, -dx // g
         return cls(a, b, -2 * (a * p[0] + b * p[1]))
 
-    @property
-    def is_horizontal(self) -> bool:
-        return self.a2 == 0
-
-    @property
-    def is_vertical(self) -> bool:
-        return self.b2 == 0
-
-    @property
-    def is_inclined(self) -> bool:
-        return self.a2 != 0 and self.b2 != 0
-
-    @property
-    def slope_sign(self) -> int:
-        """Sign of the slope -a2/b2 for inclined lines, else 0."""
-        if not self.is_inclined:
-            return 0
-        return 1 if (self.a2 > 0) != (self.b2 > 0) else -1
-
 
 @dataclass(frozen=True)
 class ThresholdFn:
@@ -132,10 +117,6 @@ class ThresholdFn:
     def in_f_class(self) -> bool:
         """Member of F: f(0, 0) = 0 and f is not the constant zero."""
         return bool(self.zeros & 1) and self.zeros != (1 << self.grid.point_count) - 1
-
-    def flip(self) -> "ThresholdFn":
-        """The pointwise complement 1 - f(x, y)."""
-        return ThresholdFn(self.grid, self.zeros ^ ((1 << self.grid.point_count) - 1))
 
     def render(self) -> str:
         """ASCII grid of function values, rows top to bottom."""
@@ -217,23 +198,6 @@ def candidate_directions(grid: GridSpec) -> Iterator[tuple[int, int]]:
                 yield dx, dy
 
 
-def candidate_lines(grid: GridSpec) -> Iterator[Line]:
-    """The finite line family guaranteed to hit every threshold function.
-
-    For each primitive direction: every offset passing exactly through a
-    lattice point, plus the half-step offsets just to either side of each
-    attained value.
-    """
-    pts = grid.points()
-    for dx, dy in candidate_directions(grid):
-        a, b = dy, -dx
-        attained = sorted({a * x + b * y for x, y in pts})
-        for v in attained:
-            yield Line(a, b, -2 * v)
-            yield Line(a, b, -2 * v - 1)
-            yield Line(a, b, -2 * v + 1)
-
-
 @dataclass(frozen=True)
 class CandidateScan:
     """Digest of one pass over the candidate family of a grid.
@@ -247,6 +211,40 @@ class CandidateScan:
     masks: frozenset[int]
     stable_masks: frozenset[int]
     pointed_singletons: dict[int, frozenset[Point]]
+
+    def classify(self, mask: int) -> StabilityClass:
+        """Stable/unstable class of a non-constant zero-set of this grid.
+
+        Stable iff some candidate line through at least two lattice points
+        defines it.  Otherwise unstable, and the defining pointed candidates
+        all pass through one point, the vertex.
+
+        On a degenerate grid every non-constant function counts as stable: its
+        zeros are an anchored run of the single lattice row or column, which
+        is the limit of rotating the carrier line (through all the points)
+        about the boundary point of the run, so the function is pinned by two
+        lattice points in the limit sense the singular-line convention uses.
+
+        A zero-set the family misses, or an unstable one without a unique
+        vertex, is a fault of the family and raises CandidateFamilyError
+        with the zero-set as witness.
+        """
+        where = f"on grid ({self.grid.m}, {self.grid.n})"
+        if mask not in self.masks:
+            raise CandidateFamilyError(
+                _witness(self.grid, mask, f"candidate family missed a zero-set {where}"))
+        if self.grid.is_degenerate or mask in self.stable_masks:
+            return StabilityClass("stable")
+        vertices = self.pointed_singletons.get(mask, frozenset())
+        if len(vertices) != 1:
+            raise CandidateFamilyError(
+                _witness(self.grid, mask, f"unstable zero-set {where} lacks a unique vertex"))
+        return StabilityClass("unstable", vertex=next(iter(vertices)))
+
+
+def _witness(grid: GridSpec, mask: int, label: str) -> str:
+    bits = "".join("1" if (mask >> i) & 1 else "0" for i in range(grid.point_count))
+    return f"{label}: zeros={bits}"
 
 
 def scan_candidates(grid: GridSpec) -> CandidateScan:
@@ -291,55 +289,19 @@ def scan_candidates(grid: GridSpec) -> CandidateScan:
     )
 
 
-def classify(
-    f: ThresholdFn,
-    universe: Optional[Sequence[ThresholdFn]] = None,
-    scan: Optional[CandidateScan] = None,
-) -> StabilityClass:
+def classify(f: ThresholdFn, scan: Optional[CandidateScan] = None) -> StabilityClass:
     """Stable/unstable classification of a non-constant threshold function.
 
-    Stable iff some candidate line through at least two lattice points
-    defines f.  Otherwise unstable, and the defining pointed candidates
-    all pass through one point, the vertex.
-
-    On a degenerate grid every non-constant function counts as stable: its
-    zeros are an anchored run of the single lattice row or column, which
-    is the limit of rotating the carrier line (through all the points)
-    about the boundary point of the run, so the function is pinned by two
-    lattice points in the limit sense the singular-line convention uses.
-
-    ``universe``, when given, must contain f (membership is validated);
-    ``scan`` may carry a precomputed candidate digest to avoid rescanning.
+    Reads CandidateScan.classify; ``scan`` may carry a precomputed scan of
+    f's grid to avoid rescanning.  Constants and zero-sets that no line
+    realizes are rejected with ValueError.
     """
     if f.is_constant:
         raise ValueError("constant functions have no stable/unstable classification")
-    if universe is not None and not any(g.zeros == f.zeros for g in universe):
-        raise ValueError("function is not a member of the supplied universe")
-    if f.grid.is_degenerate:
-        if not _is_anchored_run(f):
-            raise ValueError("zeros are not an anchored run: not a threshold function")
-        return StabilityClass("stable")
     if scan is None:
         scan = scan_candidates(f.grid)
     elif scan.grid != f.grid:
         raise ValueError("candidate scan belongs to a different grid")
     if f.zeros not in scan.masks:
         raise ValueError("function is not realized by the candidate family")
-    if f.zeros in scan.stable_masks:
-        return StabilityClass("stable")
-    vertices = scan.pointed_singletons.get(f.zeros, frozenset())
-    if len(vertices) != 1:
-        raise AssertionError(
-            f"unstable function should have a unique vertex, found {sorted(vertices)}"
-        )
-    return StabilityClass("unstable", vertex=next(iter(vertices)))
-
-
-def _is_anchored_run(f: ThresholdFn) -> bool:
-    """On a collinear grid, threshold zero-sets are runs touching an end."""
-    count = f.grid.point_count
-    bits = [(f.zeros >> i) & 1 for i in range(count)]
-    ones = sum(bits)
-    prefix = all(bits[i] == (1 if i < ones else 0) for i in range(count))
-    suffix = all(bits[i] == (1 if i >= count - ones else 0) for i in range(count))
-    return prefix or suffix
+    return scan.classify(f.zeros)

@@ -9,8 +9,12 @@ Two independent enumerations of all threshold functions on a grid:
   nothing about lines or the closed formulas.
 
 * enumerate_by_lines evaluates the finite candidate-line family described
-  in geometry and deduplicates the resulting zero-sets, classifying each
-  function as stable or unstable along the way.
+  in geometry and deduplicates the resulting zero-sets.
+
+Both oracles tally the stable/unstable split of F with
+CandidateScan.classify, and both take an optional ``scan``: the scan of
+the grid that the other oracle already holds, so one request scans the
+candidate family once.
 
 Function identity is extensional: zero bit-sets, deduplicated by hash.
 The subset oracle is the arbiter wherever it can run; cross_validate
@@ -34,8 +38,8 @@ from typing import Literal, Optional
 import numpy as np
 
 from .counting import breakdown
-from .errors import CandidateFamilyError, CapacityError
-from .geometry import CandidateScan, Point, ThresholdFn, scan_candidates
+from .errors import CapacityError
+from .geometry import CandidateScan, Point, ThresholdFn, _witness, scan_candidates
 from .grid import GridSpec
 from .numtheory import NTTables
 
@@ -49,9 +53,9 @@ Method = Literal["subsets", "lines"]
 class EnumerationResult:
     """All threshold functions of one grid, with the F-class split.
 
-    stable_count and unstable_count tally members of F only; the two
-    constant functions are carried in constant_count.  vertices maps the
-    zero bit-set of each unstable F-member to its vertex.
+    stable_count and unstable_count tally members of F only.  vertices
+    maps the zero bit-set of each unstable F-member to its vertex; scan is
+    the candidate scan the split was read from.
     """
 
     grid: GridSpec
@@ -60,11 +64,7 @@ class EnumerationResult:
     unstable_count: int
     method: Method
     vertices: dict[int, Point]
-    scan: Optional[CandidateScan] = field(default=None, repr=False)
-
-    @property
-    def constant_count(self) -> int:
-        return 2
+    scan: CandidateScan = field(repr=False)
 
     @property
     def masks(self) -> frozenset[int]:
@@ -226,19 +226,20 @@ def _separable_candidates(grid: GridSpec) -> np.ndarray:
     return masks[keep]
 
 
-def enumerate_by_subsets(grid: GridSpec, point_cap: int = SUBSET_POINT_CAP) -> EnumerationResult:
+def enumerate_by_subsets(grid: GridSpec, *,
+                         scan: Optional[CandidateScan] = None) -> EnumerationResult:
     """Every subset of the lattice, kept iff it is a separable zero-set.
 
-    Ground truth by definition; capacity-limited to 2^point_cap subsets.
-    The stable/unstable tallies are attached afterwards from a candidate
-    scan (classification is a statement about lines); a subset function
-    the candidate family misses would be a family gap and raises
-    CandidateFamilyError.
+    Ground truth by definition; capacity-limited to 2^SUBSET_POINT_CAP
+    subsets.  The stable/unstable tallies are read afterwards from a
+    candidate scan (classification is a statement about lines), ``scan``
+    if given; a subset function the candidate family misses would be a
+    family gap and raises CandidateFamilyError.
     """
-    if grid.point_count > point_cap:
+    if grid.point_count > SUBSET_POINT_CAP:
         raise CapacityError(
             f"grid ({grid.m}, {grid.n}) has {grid.point_count} points; "
-            f"subset enumeration is capped at {point_cap}"
+            f"subset enumeration is capped at {SUBSET_POINT_CAP}"
         )
     pts = grid.points()
     total_bits = grid.point_count
@@ -253,66 +254,49 @@ def enumerate_by_subsets(grid: GridSpec, point_cap: int = SUBSET_POINT_CAP) -> E
         if is_separable(zeros, ones):
             kept.append(mask)
     kept.sort()
-    functions = [ThresholdFn(grid, mask) for mask in kept]
-    stable, unstable, vertices, scan = _classify_f_members(grid, kept)
-    return EnumerationResult(
-        grid=grid,
-        functions=functions,
-        stable_count=stable,
-        unstable_count=unstable,
-        method="subsets",
-        vertices=vertices,
-        scan=scan,
-    )
-
-
-def _classify_f_members(
-    grid: GridSpec, masks: list[int], scan: Optional[CandidateScan] = None
-) -> tuple[int, int, dict[int, Point], Optional[CandidateScan]]:
-    full = (1 << grid.point_count) - 1
-    f_masks = [m for m in masks if (m & 1) and m != full]
-    if grid.is_degenerate:
-        # anchored runs on a collinear grid: stable by the limit-rotation
-        # convention (see geometry.classify)
-        return len(f_masks), 0, {}, scan
     if scan is None:
         scan = scan_candidates(grid)
+    return _classified(grid, kept, "subsets", scan)
+
+
+def enumerate_by_lines(grid: GridSpec, *,
+                       scan: Optional[CandidateScan] = None) -> EnumerationResult:
+    """Every function realized by the candidate-line family, classified.
+
+    ``scan``, if given, is the grid's candidate scan and is not redone.
+    """
+    if max(grid.m, grid.n) > LINES_EXTENT_CAP:
+        raise CapacityError(
+            f"grid ({grid.m}, {grid.n}) exceeds the line-enumeration cap of {LINES_EXTENT_CAP}"
+        )
+    if scan is None:
+        scan = scan_candidates(grid)
+    return _classified(grid, sorted(scan.masks), "lines", scan)
+
+
+def _classified(grid: GridSpec, masks: list[int], method: Method,
+                scan: CandidateScan) -> EnumerationResult:
+    """The enumeration result of ``masks``, with F split by the scan."""
+    if scan.grid != grid:
+        raise ValueError("candidate scan belongs to a different grid")
+    full = (1 << grid.point_count) - 1
     stable = unstable = 0
     vertices: dict[int, Point] = {}
-    for m in f_masks:
-        if m not in scan.masks:
-            raise CandidateFamilyError(_witness(
-                grid, m, f"candidate family missed a separable zero-set on grid "
-                         f"({grid.m}, {grid.n})"))
-        if m in scan.stable_masks:
+    for m in masks:
+        if not (m & 1) or m == full:
+            continue
+        kind = scan.classify(m)
+        if kind.is_stable:
             stable += 1
         else:
-            points = scan.pointed_singletons.get(m, frozenset())
-            if len(points) != 1:
-                raise CandidateFamilyError(_witness(
-                    grid, m, f"unstable zero-set on grid ({grid.m}, {grid.n}) "
-                             f"lacks a unique vertex"))
             unstable += 1
-            vertices[m] = next(iter(points))
-    return stable, unstable, vertices, scan
-
-
-def enumerate_by_lines(grid: GridSpec, extent_cap: int = LINES_EXTENT_CAP) -> EnumerationResult:
-    """Every function realized by the candidate-line family, classified."""
-    if max(grid.m, grid.n) > extent_cap:
-        raise CapacityError(
-            f"grid ({grid.m}, {grid.n}) exceeds the line-enumeration cap of {extent_cap}"
-        )
-    scan = scan_candidates(grid)
-    kept = sorted(scan.masks)
-    functions = [ThresholdFn(grid, mask) for mask in kept]
-    stable, unstable, vertices, scan = _classify_f_members(grid, kept, scan)
+            vertices[m] = kind.vertex
     return EnumerationResult(
         grid=grid,
-        functions=functions,
+        functions=[ThresholdFn(grid, mask) for mask in masks],
         stable_count=stable,
         unstable_count=unstable,
-        method="lines",
+        method=method,
         vertices=vertices,
         scan=scan,
     )
@@ -345,24 +329,23 @@ class CrossValidationReport:
         return self.total_matches and self.split_matches and self.oracles_agree
 
 
-def cross_validate(grid: GridSpec, tables: NTTables,
-                   point_cap: int = SUBSET_POINT_CAP,
-                   extent_cap: int = LINES_EXTENT_CAP,
-                   *, subsets: Optional[EnumerationResult] = None,
+def cross_validate(grid: GridSpec, tables: NTTables, *,
+                   subsets: Optional[EnumerationResult] = None,
                    lines: Optional[EnumerationResult] = None) -> CrossValidationReport:
     """Run whichever oracles fit the grid and compare them to the formulas.
 
     ``subsets`` and ``lines`` are results of enumerate_by_subsets and
     enumerate_by_lines for this grid that the caller already holds; they
-    are used as given, and only the oracles not passed in are run.
+    are used as given, and only the oracles not passed in are run, on the
+    candidate scan of the first oracle.
 
     Mismatches are report content, not errors; each carries the disputed
     bit-sets as witnesses.
     """
-    if subsets is None and grid.point_count <= point_cap:
-        subsets = enumerate_by_subsets(grid, point_cap)
-    if lines is None and max(grid.m, grid.n) <= extent_cap:
-        lines = enumerate_by_lines(grid, extent_cap)
+    if subsets is None and grid.point_count <= SUBSET_POINT_CAP:
+        subsets = enumerate_by_subsets(grid, scan=lines.scan if lines is not None else None)
+    if lines is None and max(grid.m, grid.n) <= LINES_EXTENT_CAP:
+        lines = enumerate_by_lines(grid, scan=subsets.scan if subsets is not None else None)
     if subsets is None and lines is None:
         raise CapacityError(f"grid ({grid.m}, {grid.n}) is beyond both oracle ranges")
 
@@ -410,11 +393,6 @@ def cross_validate(grid: GridSpec, tables: NTTables,
         oracles_agree=oracles_agree,
         witnesses=witnesses,
     )
-
-
-def _witness(grid: GridSpec, mask: int, label: str) -> str:
-    bits = "".join("1" if (mask >> i) & 1 else "0" for i in range(grid.point_count))
-    return f"{label}: zeros={bits}"
 
 
 def dump_functions(result: EnumerationResult, path: str) -> None:

@@ -12,6 +12,13 @@ subsets in lexicographic point order so witnesses are reproducible) and
 the census compares every exhaustive answer against the rule, surfacing
 disagreements instead of hiding them.  Constants fall outside the rule;
 their sizes are still computed and reported.
+
+The universe of a search is an EnumerationResult; the rule reads the
+stability of f and its complement from that result's candidate scan
+through CandidateScan.classify, so a census scans its grid once.  The
+exhaustive search holds a C(P, 4) x |universe| matrix for a grid of P
+points, so grids above TEACH_POINT_CAP points are refused with
+CapacityError before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -20,22 +27,17 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    CandidateScan,
-    Point,
-    ThresholdFn,
-    classify,
-    complement_fn,
-    scan_candidates,
-)
+from .errors import CapacityError
+from .geometry import CandidateScan, Point, ThresholdFn, complement_fn
+from .geometry import classify, scan_candidates  # noqa: F401  (names perfbench/spans.py wraps)
 from .grid import GridSpec
 from .oracle import EnumerationResult, enumerate_by_lines
 
-Universe = Union[EnumerationResult, Sequence[ThresholdFn]]
+TEACH_POINT_CAP = 36
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,17 @@ class CensusResult:
         return out.getvalue()
 
 
-def _universe_parts(universe: Universe, grid: GridSpec) -> tuple[list[ThresholdFn], Optional[CandidateScan]]:
-    if isinstance(universe, EnumerationResult):
-        if universe.grid != grid:
-            raise ValueError("universe was enumerated for a different grid")
-        return universe.functions, universe.scan
-    functions = list(universe)
-    if not all(f.grid == grid for f in functions):
-        raise ValueError("universe contains functions of a different grid")
-    return functions, None
+def _check_capacity(grid: GridSpec) -> None:
+    if grid.point_count > TEACH_POINT_CAP:
+        raise CapacityError(
+            f"grid ({grid.m}, {grid.n}) has {grid.point_count} points; "
+            f"the teaching-set search is capped at {TEACH_POINT_CAP}"
+        )
+
+
+def _check_member(f: ThresholdFn, universe: EnumerationResult) -> None:
+    if universe.grid != f.grid or f.zeros not in universe.masks:
+        raise ValueError("function is not a member of the supplied universe")
 
 
 class _TeachingSearch:
@@ -96,12 +100,10 @@ class _TeachingSearch:
     "every difference mask hits the subset" check.
     """
 
-    def __init__(self, grid: GridSpec, functions: list[ThresholdFn]):
-        if grid.point_count > 64:
-            raise ValueError("teaching-set search supports at most 64 lattice points")
-        self.grid = grid
-        self.functions = functions
-        self.all_masks = np.array([f.zeros for f in functions], dtype=np.uint64)
+    def __init__(self, universe: EnumerationResult):
+        grid = universe.grid
+        self.scan = universe.scan
+        self.all_masks = np.array([f.zeros for f in universe.functions], dtype=np.uint64)
         points = sorted(grid.points())  # lexicographic (x, y)
         self.points = points
         self.bits = [grid.bit_index(x, y) for x, y in points]
@@ -130,49 +132,47 @@ class _TeachingSearch:
         raise AssertionError("the full lattice is always a teaching set")
 
 
-def _predict(f: ThresholdFn, scan: Optional[CandidateScan]) -> int:
-    if not classify(f, scan=scan).is_stable:
+def _predict(f: ThresholdFn, scan: CandidateScan) -> int:
+    if not scan.classify(f.zeros).is_stable:
         return 3
-    if not classify(complement_fn(f), scan=scan).is_stable:
+    if not scan.classify(complement_fn(f).zeros).is_stable:
         return 3
     return 4
 
 
-def min_teaching_set(f: ThresholdFn, universe: Universe) -> TeachingReport:
+def min_teaching_set(f: ThresholdFn, universe: EnumerationResult) -> TeachingReport:
     """Exhaustive minimum teaching set of f within the complete universe."""
-    functions, scan = _universe_parts(universe, f.grid)
-    if not any(g.zeros == f.zeros for g in functions):
-        raise ValueError("function is not a member of the supplied universe")
-    search = _TeachingSearch(f.grid, functions)
-    return _report_for(f, search, scan)
+    _check_member(f, universe)
+    _check_capacity(f.grid)
+    return _report_for(f, _TeachingSearch(universe))
 
 
-def _report_for(f: ThresholdFn, search: _TeachingSearch,
-                scan: Optional[CandidateScan]) -> TeachingReport:
+def _report_for(f: ThresholdFn, search: _TeachingSearch) -> TeachingReport:
     size, witness = search.minimum(f)
     if f.is_constant:
         return TeachingReport(f, size, witness, None, None)
-    predicted = _predict(f, scan)
+    predicted = _predict(f, search.scan)
     return TeachingReport(f, size, witness, predicted, predicted == size)
 
 
-def predict_size(f: ThresholdFn, universe: Universe) -> int:
+def predict_size(f: ThresholdFn, universe: EnumerationResult) -> int:
     """The 3-or-4 rule: 3 iff f or its point-reflected complement is unstable."""
     if f.is_constant:
         raise ValueError("the size rule does not apply to constant functions")
-    functions, scan = _universe_parts(universe, f.grid)
-    if not any(g.zeros == f.zeros for g in functions):
-        raise ValueError("function is not a member of the supplied universe")
-    return _predict(f, scan)
+    _check_member(f, universe)
+    return _predict(f, universe.scan)
 
 
-def census(grid: GridSpec, universe: Optional[Universe] = None) -> CensusResult:
-    """Teaching reports for every threshold function of the grid."""
+def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> CensusResult:
+    """Teaching reports for every threshold function of the grid.
+
+    ``universe``, if given, is the grid's enumeration and is not redone.
+    """
+    _check_capacity(grid)
     if universe is None:
         universe = enumerate_by_lines(grid)
-    functions, scan = _universe_parts(universe, grid)
-    if scan is None and not grid.is_degenerate:
-        scan = scan_candidates(grid)
-    search = _TeachingSearch(grid, functions)
-    reports = [_report_for(f, search, scan) for f in functions]
+    elif universe.grid != grid:
+        raise ValueError("universe was enumerated for a different grid")
+    search = _TeachingSearch(universe)
+    reports = [_report_for(f, search) for f in universe.functions]
     return CensusResult(grid=grid, reports=reports)

@@ -6,7 +6,8 @@ import json
 import pytest
 
 import gridthresh.oracle
-from gridthresh import GridSpec, count_p, count_total, sieve
+import gridthresh.teaching
+from gridthresh import GridSpec, count_p, count_total, cross_validate, sieve
 from gridthresh.cli import EXIT_CAPACITY, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -120,12 +121,15 @@ def test_oracle_scans_once_per_oracle_and_ignores_method(capsys, monkeypatch):
         scans.clear()
         code, out, _ = run(capsys, "oracle", "--m", "3", "--n", "2", "--method", method)
         assert code == EXIT_OK
-        assert len(scans) == 2   # one per oracle: subset tallies, line enumeration
+        assert len(scans) == 1   # both oracles read one scan
         record = json.loads(out)
         record.pop("elapsed_ms")
         assert record.pop("method") == method
         records[method] = record
     assert records["subsets"] == records["lines"] == records["both"]
+    scans.clear()
+    assert cross_validate(GridSpec(3, 2), sieve(2)).all_match
+    assert len(scans) == 1
 
 
 def test_oracle_family_gap_exits_mismatch(capsys, monkeypatch):
@@ -191,6 +195,33 @@ def test_teach_census_csv(capsys):
 
 def test_teach_check_passes(capsys):
     assert run(capsys, "teach", "--m", "2", "--n", "2", "--check")[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("side", [6, 7])
+def test_teach_past_point_cap_exits_capacity_before_enumerating(capsys, monkeypatch, side):
+    def refuse(grid, **kwargs):
+        raise AssertionError("the universe was enumerated past the capacity check")
+
+    monkeypatch.setattr(gridthresh.teaching, "enumerate_by_lines", refuse)
+    code, _, err = run(capsys, "teach", "--m", str(side), "--n", str(side))
+    assert code == EXIT_CAPACITY
+    assert "capacity" in err.lower()
+
+
+def test_teach_vertex_gap_outside_f_exits_mismatch(capsys, monkeypatch):
+    original = gridthresh.oracle.scan_candidates
+
+    def lossy(grid):
+        scan = original(grid)
+        victim = min(m for m in scan.pointed_singletons
+                     if not m & 1 and m not in scan.stable_masks)
+        singles = {k: v for k, v in scan.pointed_singletons.items() if k != victim}
+        return dataclasses.replace(scan, pointed_singletons=singles)
+
+    monkeypatch.setattr(gridthresh.oracle, "scan_candidates", lossy)
+    code, _, err = run(capsys, "teach", "--m", "2", "--n", "2")
+    assert code == EXIT_MISMATCH
+    assert "lacks a unique vertex" in err and "zeros=" in err
 
 
 def test_asympt_square_csv(capsys):

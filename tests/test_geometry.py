@@ -1,6 +1,8 @@
 """Unit tests for lines, zero-sets, and stability classification."""
 
+import dataclasses
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,8 @@ from gridthresh import (
     lattice_points_on,
     zero_set,
 )
-from gridthresh.geometry import candidate_lines, scan_candidates
+from gridthresh.errors import CandidateFamilyError
+from gridthresh.geometry import scan_candidates
 
 from conftest import RANDOM_SEED
 
@@ -53,14 +56,6 @@ def test_line_through_two_points():
     assert line.eval2(1, 1) == 0
     with pytest.raises(ValueError):
         Line.through((1, 1), (1, 1))
-
-
-def test_line_slope_classification():
-    assert Line(0, 1, 0).is_horizontal
-    assert Line(1, 0, 0).is_vertical
-    inclined = Line(1, -1, 0)   # slope -a/b = 1
-    assert inclined.is_inclined and inclined.slope_sign == 1
-    assert Line(1, 1, 0).slope_sign == -1
 
 
 # -- zero sets ---------------------------------------------------------------
@@ -211,7 +206,7 @@ def test_classify_validates_universe_membership():
     enum = enumerate_by_lines(grid)
     diagonal = fn_from_points(grid, [(0, 0), (1, 1)])   # not separable, not in universe
     with pytest.raises(ValueError):
-        classify(diagonal, universe=enum.functions)
+        classify(diagonal, scan=enum.scan)
 
 
 def test_classify_degenerate_grid_convention():
@@ -229,6 +224,19 @@ def test_classify_degenerate_rejects_gapped_zero_sets():
         classify(gapped)
     suffix_run = fn_from_points(grid, [(0, 2), (0, 3)])
     assert classify(suffix_run).is_stable
+
+
+def test_scan_classify_reports_family_faults_with_witness():
+    grid = GridSpec(1, 1)
+    scan = scan_candidates(grid)
+    corner = fn_from_points(grid, [(0, 0)]).zeros
+    assert scan.classify(corner) == classify(fn_from_points(grid, [(0, 0)]))
+    diagonal = fn_from_points(grid, [(0, 0), (1, 1)]).zeros
+    with pytest.raises(CandidateFamilyError, match="missed.*zeros=1001"):
+        scan.classify(diagonal)
+    vertexless = dataclasses.replace(scan, pointed_singletons={})
+    with pytest.raises(CandidateFamilyError, match="unique vertex.*zeros=1000"):
+        vertexless.classify(corner)
 
 
 def test_every_nonconstant_mask_has_pointed_defining_candidate():
@@ -255,17 +263,19 @@ def test_unstable_masks_have_unique_vertex():
 
 def test_equivalent_stable_candidates_are_identical_after_canonicalization():
     # operational form of the uniqueness lemma for stable lines: within F,
-    # all stable candidate lines defining one function coincide
+    # all stable candidate lines defining one function coincide; the stable
+    # candidates are the lines through two distinct lattice points, and the
+    # ordered pairs give both orientations
     rng = random.Random(RANDOM_SEED)
     for spec in [(3, 3), (2, 4)]:
         grid = GridSpec(*spec)
         full = (1 << grid.point_count) - 1
         by_mask = {}
-        for line in candidate_lines(grid):
-            if len(lattice_points_on(line, grid)) >= 2:
-                mask = zero_set(line, grid)
-                if mask not in (0, full) and (mask & 1):
-                    by_mask.setdefault(mask, set()).add(line.canonical())
+        for p, q in permutations(grid.points(), 2):
+            line = Line.through(p, q)
+            mask = zero_set(line, grid)
+            if mask not in (0, full) and (mask & 1):
+                by_mask.setdefault(mask, set()).add(line.canonical())
         assert by_mask, "no stable candidates found"
         masks = sorted(by_mask)
         for mask in rng.sample(masks, min(40, len(masks))):
