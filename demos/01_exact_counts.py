@@ -12,7 +12,7 @@ arithmetic, whatever the size.
 
 import time
 
-from gridthresh import GridSpec, breakdown, count_p, count_total, sieve
+from gridthresh import GridSpec, breakdown, count_p, count_p_sequence, count_total, sieve
 
 # the sieve limit only needs to reach min(m, n)
 tables = sieve(1000)
@@ -22,9 +22,10 @@ for m, n in [(0, 0), (1, 0), (1, 1), (2, 2), (2, 3), (5, 6)]:
     print(f"  N({m},{n}) = {count_total(GridSpec(m, n), tables)}")
 
 # P(k, 2) counts threshold functions of two k-valued inputs; the square
-# grid of extent k-1 carries them
+# grid of extent k-1 carries them.  A whole run of P values (an OEIS
+# b-file, A114146) comes from one pass over the totients
 print("\nP(k, 2) for k = 1..8:")
-print(" ", [count_p(k, tables) for k in range(1, 9)])
+print(" ", count_p_sequence(8, tables))
 
 # the stable/unstable decomposition of the class F (functions vanishing
 # at the origin, constant zero excluded): N = 2(|F| + 1)
@@ -33,7 +34,8 @@ b = breakdown(GridSpec(2, 2), tables)
 print(f"  stable {b.stable}, unstable {b.unstable}, |F| = {b.f_class}, "
       f"total {b.total} [{b.provenance}]")
 
-# scale: a million-valued logic, still exact
+# scale: a million-valued logic, still exact; a single term goes through
+# the per-term Moebius kernel
 started = time.perf_counter()
 big_tables = sieve(10**6 - 1)
 value = count_p(10**6, big_tables)

@@ -20,7 +20,15 @@ from .asymptotics import (
     reports_to_csv,
     residual_sweep,
 )
-from .counting import CountBreakdown, breakdown, count_p, count_stable, count_total, count_unstable
+from .counting import (
+    CountBreakdown,
+    breakdown,
+    count_p,
+    count_p_sequence,
+    count_stable,
+    count_total,
+    count_unstable,
+)
 from .errors import CapacityError
 from .geometry import (
     Line,
@@ -40,6 +48,7 @@ from .numtheory import (
     sieve,
     u_mobius,
     u_naive,
+    uv_square_sequence,
     v_fast,
     v_naive,
 )
@@ -78,6 +87,7 @@ __all__ = [
     "classify",
     "complement_fn",
     "count_p",
+    "count_p_sequence",
     "count_stable",
     "count_total",
     "count_unstable",
@@ -95,6 +105,7 @@ __all__ = [
     "sieve",
     "u_mobius",
     "u_naive",
+    "uv_square_sequence",
     "v_fast",
     "v_naive",
     "zero_set",

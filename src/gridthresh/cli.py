@@ -19,10 +19,11 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .asymptotics import reports_to_csv, residual_sweep
-from .counting import breakdown, count_p, count_total
+from .counting import breakdown, count_p, count_p_sequence, count_total
 from .errors import CandidateFamilyError, CapacityError
 from .grid import GridSpec
-from .numtheory import sieve, u_mobius
+from .numtheory import sieve, uv_square_sequence
+from .numtheory import u_mobius  # noqa: F401  (names perfbench/spans.py wraps)
 from .oracle import cross_validate, dump_functions, enumerate_by_lines, enumerate_by_subsets
 from .teaching import census
 
@@ -32,6 +33,9 @@ EXIT_CAPACITY = 2
 EXIT_MISMATCH = 3
 
 OEIS_SEQUENCES = ("A114146", "A114043", "A018805")
+# the sieve, the totient tables and the output all grow with --count; past
+# 10^6 terms the request is refused before any of them is allocated
+OEIS_COUNT_CAP = 10**6
 
 
 class UsageError(Exception):
@@ -131,19 +135,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_oeis(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    tables = sieve(max(1, args.count))
-    lines = []
-    for k in range(1, args.count + 1):
-        if args.sequence == "A114146":
-            value = count_p(k, tables)
-        elif args.sequence == "A114043":
-            p = count_p(k, tables)
-            assert p % 2 == 0, "P(k, 2) is always even"
-            value = p // 2
-        else:  # A018805: coprime pairs in the k x k square
-            value = u_mobius(k, k, tables)
-        lines.append(f"{k} {value}")
-    text = "\n".join(lines) + "\n"
+    if args.count > OEIS_COUNT_CAP:
+        raise CapacityError(f"--count {args.count} exceeds the b-file cap of {OEIS_COUNT_CAP} terms")
+    tables = sieve(args.count)
+    if args.sequence == "A018805":  # coprime pairs in the k x k square
+        values = uv_square_sequence(args.count, tables)[0][1:]
+    else:
+        values = count_p_sequence(args.count, tables)
+        if args.sequence == "A114043":
+            assert all(p % 2 == 0 for p in values), "P(k, 2) is always even"
+            values = [p // 2 for p in values]
+    text = "".join(f"{k} {value}\n" for k, value in enumerate(values, start=1))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)

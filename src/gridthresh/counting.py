@@ -11,6 +11,9 @@ zero) the stable/unstable split is
     stable(m, n)   = m + n + U(m, n) + 2 V(m, n) - 8 V((m-1)/2, (n-1)/2)
 
 with N = 2(|F| + 1).  The k-valued square case is P(k, 2) = N(k-1, k-1).
+count_p_sequence gives P(1..K, 2) from one pass of the square-sequence
+kernel (numtheory.uv_square_sequence), for whole OEIS b-files; count_p
+stays the per-term path and the sequence's oracle.
 
 Each formula is written once.  count_total evaluates 4V(m, n) and
 count_unstable evaluates U(m, n) and 4V((m-1)/2, (n-1)/2); breakdown
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .grid import GridSpec
-from .numtheory import HalfInt, NTTables, u_mobius, v_fast
+from .numtheory import HalfInt, NTTables, u_mobius, uv_square_sequence, v_fast
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,15 @@ def _require_tables(grid: GridSpec, tables: NTTables) -> None:
         raise ValueError(f"sieve limit {tables.limit} < min(m, n) = {need}")
 
 
+def _total(m: int, n: int, four_v: int) -> int:
+    """N(m, n) from 4V(m, n)."""
+    return (2 * m + 1) * (2 * n + 1) + 1 + four_v
+
+
 def count_total(grid: GridSpec, tables: NTTables) -> int:
     """N(m, n), exact; symmetric in m and n."""
     _require_tables(grid, tables)
-    four_v = v_fast(grid.m, grid.n, tables).quadrupled
-    return (2 * grid.m + 1) * (2 * grid.n + 1) + 1 + four_v
+    return _total(grid.m, grid.n, v_fast(grid.m, grid.n, tables).quadrupled)
 
 
 def count_p(k: int, tables: NTTables) -> int:
@@ -80,6 +87,17 @@ def count_p(k: int, tables: NTTables) -> int:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return count_total(GridSpec(k - 1, k - 1), tables)
+
+
+def count_p_sequence(count: int, tables: NTTables) -> list[int]:
+    """[P(1, 2), ..., P(count, 2)] from one pass of the square-sequence kernel.
+
+    Needs tables.limit >= count - 1; equals count_p term by term.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    _, four_v = uv_square_sequence(count - 1, tables)
+    return [_total(j, j, v) for j, v in enumerate(four_v)]
 
 
 def count_unstable(grid: GridSpec, tables: NTTables) -> int:

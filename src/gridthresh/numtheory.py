@@ -9,6 +9,7 @@ Provides the arithmetic backbone for the counting formulas:
     U(p, q)  =  #{(a, b) : 1<=a<=p, 1<=b<=q, gcd(a, b) = 1}
     V(t, k)  =  sum over coprime (i, j), i<=ceil(t), j<=ceil(k),
                 of (t + 1 - i)(k + 1 - j)
+    U(j, j), 4V(j, j) for j = 0..n    (the square sequence, one pass over phi)
 
 V is defined for half-integer arguments.  Half-integers are carried as
 doubled integers (HalfInt) and V is returned as a quadrupled integer
@@ -26,6 +27,14 @@ are what production counting uses:
 All fast-path arithmetic is exact: products of doubled A-values are
 evaluated in int64 limbs (split + chunked accumulation into Python ints)
 with the overflow envelope checked, never assumed.
+
+The square sequence serves whole OEIS b-files.  With C_j, S_j and Q_j the
+count, sum of i and sum of i*j over coprime pairs (i, j) in [1, j]^2,
+
+    U(j, j) = C_j,   4V(j, j) = 4[(j+1)^2 C_j - 2(j+1) S_j + Q_j],
+
+and each of C, S, Q grows from j-1 to j by a multiple of phi(j), so the
+whole sequence costs one pass over phi instead of one Moebius sum per term.
 """
 
 from __future__ import annotations
@@ -355,3 +364,32 @@ def _signed_product_sum(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
         s_ll = int(np.sum(sg * (al * bl)))
         total += (s_hh << (2 * shift)) + (s_mid << shift) + s_ll
     return total
+
+
+def uv_square_sequence(n: int, tables: NTTables) -> tuple[list[int], list[int]]:
+    """U(j, j) and 4V(j, j) for j = 0..n, in one pass over phi.
+
+    The coprime pairs of [1, j]^2 not in [1, j-1]^2 are (j, i) and (i, j)
+    with i < j coprime to j (for j >= 2), and the i coprime to j sum to
+    j*phi(j)/2.  So C, S and Q grow by 2phi(j), (3/2)j*phi(j) and
+    j^2*phi(j), from C_1 = S_1 = Q_1 = 1 (the pair (1, 1)) and 0 at j = 0.
+    Accumulated in Python ints: exact for every n, no int64 envelope.
+    Equals u_mobius(j, j, tables) and v_fast(j, j, tables).quadrupled.
+    """
+    if n < 0:
+        raise ValueError(f"sequence length must be >= 0, got {n}")
+    if tables.limit < n:
+        raise ValueError(f"sieve limit {tables.limit} < n = {n}")
+    u, four_v = [0], [0]
+    c = s = q = 0
+    for j, f in enumerate(tables.phi[: n + 1].tolist()[1:], start=1):
+        if j == 1:
+            c = s = q = 1
+        else:
+            c += 2 * f
+            s += 3 * j * f // 2
+            q += j * j * f
+        w = j + 1
+        u.append(c)
+        four_v.append(4 * (w * w * c - 2 * w * s + q))
+    return u, four_v

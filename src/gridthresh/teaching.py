@@ -3,9 +3,14 @@
 A teaching set of f is a set T of lattice points such that every other
 threshold function of the grid disagrees with f somewhere on T; a minimum
 teaching set is one of smallest cardinality.  For non-constant functions
-the minimum size is 3 or 4, and which one is predicted by a stability
-rule: size 3 if f is unstable, or if the point-reflected complement
-g(x, y) = 1 - f(m - x, n - y) is unstable; size 4 when both are stable.
+on a proper rectangle (m, n >= 1) the minimum size is 3 or 4, and which
+one is predicted by a stability rule: size 3 if f is unstable, or if the
+point-reflected complement g(x, y) = 1 - f(m - x, n - y) is unstable;
+size 4 when both are stable.
+On a degenerate (collinear) grid the rule predicts 2 for every
+non-constant function: f is an anchored run, and the two points that
+straddle its cut teach it, while no single point does, since a constant
+agrees with f there.
 
 min_teaching_set verifies minimality exhaustively (sizes ascending,
 subsets in lexicographic point order so witnesses are reproducible) and
@@ -133,6 +138,8 @@ class _TeachingSearch:
 
 
 def _predict(f: ThresholdFn, scan: CandidateScan) -> int:
+    if f.grid.is_degenerate:
+        return 2
     if not scan.classify(f.zeros).is_stable:
         return 3
     if not scan.classify(complement_fn(f).zeros).is_stable:
@@ -156,7 +163,11 @@ def _report_for(f: ThresholdFn, search: _TeachingSearch) -> TeachingReport:
 
 
 def predict_size(f: ThresholdFn, universe: EnumerationResult) -> int:
-    """The 3-or-4 rule: 3 iff f or its point-reflected complement is unstable."""
+    """The 3-or-4 rule: 3 iff f or its point-reflected complement is unstable.
+
+    On a degenerate grid (m == 0 or n == 0) the prediction is 2: the two
+    points straddling the cut of the anchored run.
+    """
     if f.is_constant:
         raise ValueError("the size rule does not apply to constant functions")
     _check_member(f, universe)

@@ -5,10 +5,18 @@ import json
 
 import pytest
 
+import gridthresh.cli
 import gridthresh.oracle
 import gridthresh.teaching
-from gridthresh import GridSpec, count_p, count_total, cross_validate, sieve
-from gridthresh.cli import EXIT_CAPACITY, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from gridthresh import GridSpec, count_p, count_total, cross_validate, sieve, u_mobius
+from gridthresh.cli import (
+    EXIT_CAPACITY,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    OEIS_COUNT_CAP,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -184,6 +192,36 @@ def test_oeis_unknown_sequence_is_usage_error(capsys):
     assert run(capsys, "oeis", "--sequence", "A000001")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 1000])
+def test_oeis_bfiles_equal_per_term_kernels(capsys, count):
+    tables = sieve(count)
+    expected = {
+        "A114146": [count_p(k, tables) for k in range(1, count + 1)],
+        "A114043": [count_p(k, tables) // 2 for k in range(1, count + 1)],
+        "A018805": [u_mobius(k, k, tables) for k in range(1, count + 1)],
+    }
+    outputs = {}
+    for seq, values in expected.items():
+        code, out, _ = run(capsys, "oeis", "--sequence", seq, "--count", str(count))
+        assert code == EXIT_OK
+        assert out == "".join(f"{k} {v}\n" for k, v in enumerate(values, start=1))
+        outputs[seq] = out.splitlines()
+    for half, full in zip(outputs["A114043"], outputs["A114146"]):
+        k, value = half.split()
+        assert full == f"{k} {2 * int(value)}"
+
+
+@pytest.mark.parametrize("count", [OEIS_COUNT_CAP + 1, 10**9])
+def test_oeis_past_count_cap_exits_capacity_before_sieving(capsys, monkeypatch, count):
+    def refuse(limit):
+        raise AssertionError("sieved past the capacity check")
+
+    monkeypatch.setattr(gridthresh.cli, "sieve", refuse)
+    code, out, err = run(capsys, "oeis", "--sequence", "A114146", "--count", str(count))
+    assert code == EXIT_CAPACITY
+    assert out == "" and "capacity" in err.lower()
+
+
 def test_teach_census_csv(capsys):
     code, out, _ = run(capsys, "teach", "--m", "2", "--n", "2")
     assert code == EXIT_OK
@@ -195,6 +233,15 @@ def test_teach_census_csv(capsys):
 
 def test_teach_check_passes(capsys):
     assert run(capsys, "teach", "--m", "2", "--n", "2", "--check")[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 2), (0, 3), (3, 0)])
+def test_teach_check_passes_on_collinear_grids(capsys, m, n):
+    code, out, _ = run(capsys, "teach", "--m", str(m), "--n", str(n), "--format", "json", "--check")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["mismatches"] == 0
+    assert record["histogram"] == {"2": 2 * (m + n + 1)}
 
 
 @pytest.mark.parametrize("side", [6, 7])

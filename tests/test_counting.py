@@ -14,12 +14,16 @@ from gridthresh import (
     GridSpec,
     breakdown,
     count_p,
+    count_p_sequence,
     count_stable,
     count_total,
     count_unstable,
     enumerate_by_subsets,
     sieve,
+    u_mobius,
     u_naive,
+    uv_square_sequence,
+    v_fast,
     v_naive,
 )
 from gridthresh.numtheory import HalfInt
@@ -170,3 +174,28 @@ def test_counting_builds_no_totient_table():
     breakdown(GridSpec(1000, 700), tables)
     count_p(1001, tables)
     assert not tables._totients
+
+
+def test_sequence_kernel_equals_per_term_kernels():
+    k_max = 3000
+    tables = sieve(k_max)
+    u, four_v = uv_square_sequence(k_max, tables)
+    assert len(u) == len(four_v) == k_max + 1
+    assert u == [u_mobius(j, j, tables) for j in range(k_max + 1)]
+    assert four_v == [v_fast(j, j, tables).quadrupled for j in range(k_max + 1)]
+    assert count_p_sequence(k_max, tables) == [count_p(k, tables) for k in range(1, k_max + 1)]
+
+
+def test_sequence_kernel_small_values_and_bounds():
+    tables = sieve(5)
+    assert uv_square_sequence(0, tables) == ([0], [0])
+    assert count_p_sequence(1, tables) == [2]
+    assert count_p_sequence(6, tables) == [count_p(k, tables) for k in range(1, 7)]
+    with pytest.raises(ValueError):
+        uv_square_sequence(-1, tables)
+    with pytest.raises(ValueError):
+        uv_square_sequence(6, tables)
+    with pytest.raises(ValueError):
+        count_p_sequence(0, tables)
+    with pytest.raises(ValueError):
+        count_p_sequence(7, tables)
