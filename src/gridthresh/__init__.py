@@ -45,12 +45,16 @@ from .numtheory import (
     HalfInt,
     NTTables,
     QuarterInt,
+    kernel_sieve_limit,
     sieve,
+    u_blocked,
     u_mobius,
     u_naive,
     uv_square_sequence,
+    v_blocked,
     v_fast,
     v_naive,
+    weighted_mertens,
 )
 from .oracle import (
     CrossValidationReport,
@@ -96,6 +100,7 @@ __all__ = [
     "enumerate_by_lines",
     "enumerate_by_subsets",
     "equivalent",
+    "kernel_sieve_limit",
     "lattice_points_on",
     "leading_estimate",
     "min_teaching_set",
@@ -103,10 +108,13 @@ __all__ = [
     "reports_to_csv",
     "residual_sweep",
     "sieve",
+    "u_blocked",
     "u_mobius",
     "u_naive",
     "uv_square_sequence",
+    "v_blocked",
     "v_fast",
     "v_naive",
+    "weighted_mertens",
     "zero_set",
 ]

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .counting import count_total
-from .grid import GridSpec
-from .numtheory import NTTables, u_mobius, v_fast
+from .counting import _total
+from .numtheory import NTTables, QuarterInt, u_blocked, v_blocked
 
 DEFAULT_SQUARE_KS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 DEFAULT_ANISO_NS = tuple(range(1, 9))
@@ -79,11 +78,6 @@ def anisotropic_estimate(m: int, n: int, tables: NTTables) -> float:
     return float(anisotropic_coefficient(n, tables) * m * m)
 
 
-def v_exact(t: int, k: int, tables: NTTables) -> int:
-    """V at integer arguments as a plain integer."""
-    return v_fast(t, k, tables).as_int()
-
-
 def residual_sweep(
     tables: NTTables,
     square_ks: Iterable[int] = DEFAULT_SQUARE_KS,
@@ -94,31 +88,31 @@ def residual_sweep(
 
     Square cases cover both U/V laws and the leading N estimate; the
     anisotropic cases (m >> n) cover the Psi/Phi-coefficient laws and the
-    anisotropic N estimate.
+    anisotropic N estimate.  Each argument pair costs one U and one 4V
+    evaluation of the blocked kernel; N is assembled from that 4V.
     """
     rows: list[AsymptoticReport] = []
     six_over_pi2 = 6.0 / math.pi**2
     for k in square_ks:
-        u = u_mobius(k, k, tables)
+        u = u_blocked(k, k, tables)
+        four_v = v_blocked(k, k, tables).quadrupled
         rows.append(_report("umk", (k, k), u, six_over_pi2 * k * k,
                             k * math.log(k)))
-        v = v_exact(k, k, tables)
-        rows.append(_report("vmk", (k, k), v, (3.0 / (2.0 * math.pi**2)) * float(k)**4,
+        rows.append(_report("vmk", (k, k), QuarterInt(four_v).as_int(),
+                            (3.0 / (2.0 * math.pi**2)) * float(k)**4,
                             float(k)**3 * math.log(k)))
-        n_exact = count_total(GridSpec(k, k), tables)
-        rows.append(_report("total_leading", (k, k), n_exact, leading_estimate(k, k),
-                            float(k)**3 * math.log(k)))
+        rows.append(_report("total_leading", (k, k), _total(k, k, four_v),
+                            leading_estimate(k, k), float(k)**3 * math.log(k)))
     for n in aniso_ns:
         psi_n = float(tables.psi(n))
         for m in aniso_ms:
-            u = u_mobius(m, n, tables)
+            u = u_blocked(m, n, tables)
+            four_v = v_blocked(m, n, tables).quadrupled
             rows.append(_report("umkC", (m, n), u, psi_n * m, float(n * n)))
-            v = v_exact(m, n, tables)
             coeff = anisotropic_coefficient(n, tables) / 4  # V carries N/4
-            rows.append(_report("vmkC", (m, n), v, float(coeff * m * m),
-                                float(m) * n**3))
-            n_exact = count_total(GridSpec(m, n), tables)
-            rows.append(_report("total_anisotropic", (m, n), n_exact,
+            rows.append(_report("vmkC", (m, n), QuarterInt(four_v).as_int(),
+                                float(coeff * m * m), float(m) * n**3))
+            rows.append(_report("total_anisotropic", (m, n), _total(m, n, four_v),
                                 anisotropic_estimate(m, n, tables),
                                 float(m) * n**3))
     return rows

@@ -22,7 +22,7 @@ from .asymptotics import reports_to_csv, residual_sweep
 from .counting import breakdown, count_p, count_p_sequence, count_total
 from .errors import CandidateFamilyError, CapacityError
 from .grid import GridSpec
-from .numtheory import sieve, uv_square_sequence
+from .numtheory import NTTables, kernel_sieve_limit, sieve, uv_square_sequence
 from .numtheory import u_mobius  # noqa: F401  (names perfbench/spans.py wraps)
 from .oracle import cross_validate, dump_functions, enumerate_by_lines, enumerate_by_subsets
 from .teaching import census
@@ -33,9 +33,14 @@ EXIT_CAPACITY = 2
 EXIT_MISMATCH = 3
 
 OEIS_SEQUENCES = ("A114146", "A114043", "A018805")
-# the sieve, the totient tables and the output all grow with --count; past
-# 10^6 terms the request is refused before any of them is allocated
+# the totient table and the output grow with --count; past 10^6 terms the
+# request is refused before either is allocated
 OEIS_COUNT_CAP = 10**6
+# count and bench sieve to kernel_sieve_limit(m, n), about 8 max(m, n)^(2/3)
+# but at most min(m, n); at this side a request takes about 5 s and 650 MB
+# (a 5e9 square with --breakdown; skewed grids cost less), and past it
+# (or past k - 1 = cap) the request is refused before anything is sieved
+COUNT_SIDE_CAP = 5 * 10**9
 
 
 class UsageError(Exception):
@@ -62,6 +67,12 @@ def _emit(record: dict, fmt: str) -> None:
         sys.stdout.write(out.getvalue())
 
 
+def _check_side_cap(grid: GridSpec) -> None:
+    if max(grid.m, grid.n) > COUNT_SIDE_CAP:
+        raise CapacityError(
+            f"grid side {max(grid.m, grid.n)} exceeds the count cap of {COUNT_SIDE_CAP}")
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     if (args.k is None) == (args.m is None and args.n is None):
         raise UsageError("give either --k or both --m and --n")
@@ -74,7 +85,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if args.m is None or args.n is None:
             raise UsageError("give both --m and --n")
         grid = GridSpec(args.m, args.n)
-    tables = sieve(max(1, min(grid.m, grid.n)))
+    _check_side_cap(grid)
+    tables = sieve(kernel_sieve_limit(grid.m, grid.n))
     record: dict = {
         "command": "count",
         "m": grid.m,
@@ -137,7 +149,7 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
         raise UsageError("--count must be >= 1")
     if args.count > OEIS_COUNT_CAP:
         raise CapacityError(f"--count {args.count} exceeds the b-file cap of {OEIS_COUNT_CAP} terms")
-    tables = sieve(args.count)
+    tables = NTTables(args.count)  # the sequence kernel reads phi alone
     if args.sequence == "A018805":  # coprime pairs in the k x k square
         values = uv_square_sequence(args.count, tables)[0][1:]
     else:
@@ -203,11 +215,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError("--k must be >= 1")
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
+    grid = GridSpec(args.k - 1, args.k - 1)
+    _check_side_cap(grid)
     timings = []
     value = 0
     for _ in range(args.repeat):
         started = time.perf_counter()
-        tables = sieve(max(1, args.k - 1))
+        tables = sieve(kernel_sieve_limit(grid.m, grid.n))
         value = count_p(args.k, tables)
         timings.append(time.perf_counter() - started)
     record = {

@@ -20,7 +20,11 @@ count_unstable evaluates U(m, n) and 4V((m-1)/2, (n-1)/2); breakdown
 calls each of them once and assembles |F| = N/2 - 1 and
 stable = |F| - unstable, which expands to the stable formula above.  A
 breakdown therefore costs one evaluation of each kernel, and
-count_stable reads its value from that assembly.
+count_stable reads its value from that assembly.  The kernels are the
+blocked ones (numtheory.u_blocked, v_blocked), so the tables need only
+reach kernel_sieve_limit(m, n); the half-argument blocks floor(m/(2q))
+lie inside m's, so the three kernels of one breakdown share one memo of
+weighted Mertens sums.
 
 All counts are exact Python integers; V flows through the quadrupled
 integer representation so the 2V/4V/8V consumers never see a rational.
@@ -39,7 +43,15 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .grid import GridSpec
-from .numtheory import HalfInt, NTTables, u_mobius, uv_square_sequence, v_fast
+from .numtheory import (
+    HalfInt,
+    NTTables,
+    kernel_sieve_limit,
+    u_blocked,
+    uv_square_sequence,
+    v_blocked,
+)
+from .numtheory import u_mobius, v_fast  # noqa: F401  (names perfbench/spans.py wraps)
 
 
 @dataclass(frozen=True)
@@ -66,9 +78,9 @@ class CountBreakdown:
 
 
 def _require_tables(grid: GridSpec, tables: NTTables) -> None:
-    need = max(1, min(grid.m, grid.n))
+    need = kernel_sieve_limit(grid.m, grid.n)
     if tables.limit < need:
-        raise ValueError(f"sieve limit {tables.limit} < min(m, n) = {need}")
+        raise ValueError(f"sieve limit {tables.limit} < kernel_sieve_limit(m, n) = {need}")
 
 
 def _total(m: int, n: int, four_v: int) -> int:
@@ -79,7 +91,7 @@ def _total(m: int, n: int, four_v: int) -> int:
 def count_total(grid: GridSpec, tables: NTTables) -> int:
     """N(m, n), exact; symmetric in m and n."""
     _require_tables(grid, tables)
-    return _total(grid.m, grid.n, v_fast(grid.m, grid.n, tables).quadrupled)
+    return _total(grid.m, grid.n, v_blocked(grid.m, grid.n, tables).quadrupled)
 
 
 def count_p(k: int, tables: NTTables) -> int:
@@ -105,8 +117,8 @@ def count_unstable(grid: GridSpec, tables: NTTables) -> int:
     _require_tables(grid, tables)
     if grid.is_degenerate:
         return 0
-    u = u_mobius(grid.m, grid.n, tables)
-    four_v_half = v_fast(HalfInt(grid.m - 1), HalfInt(grid.n - 1), tables).quadrupled
+    u = u_blocked(grid.m, grid.n, tables)
+    four_v_half = v_blocked(HalfInt(grid.m - 1), HalfInt(grid.n - 1), tables).quadrupled
     return 2 * grid.m * grid.n - u + 2 * four_v_half
 
 

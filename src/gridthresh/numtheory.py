@@ -2,10 +2,11 @@
 
 Provides the arithmetic backbone for the counting formulas:
 
-    mu(s)       Moebius function, sieved eagerly
+    mu(s)       Moebius function, sieved by sieve()
     phi(s)      Euler totient, sieved on first use
     Phi(k)   =  sum_{i<=k} phi(i)                 (integer)
     Psi(k)   =  sum_{i<=k} phi(i)/i               (exact rational)
+    M_j(x)   =  sum_{d<=x} d^j mu(d), j = 0, 1, 2  (weighted Mertens sums)
     U(p, q)  =  #{(a, b) : 1<=a<=p, 1<=b<=q, gcd(a, b) = 1}
     V(t, k)  =  sum over coprime (i, j), i<=ceil(t), j<=ceil(k),
                 of (t + 1 - i)(k + 1 - j)
@@ -16,17 +17,27 @@ doubled integers (HalfInt) and V is returned as a quadrupled integer
 (QuarterInt): the counting formulas only ever consume 2V, 4V and 8V, so
 every public count stays an exact integer and no rational type leaks out.
 
-Each quantity has a naive evaluation straight from its definition and a
-Moebius-accelerated one.  The naive forms are the oracles; the fast forms
-are what production counting uses:
+Each quantity has a naive evaluation straight from its definition, a
+linear Moebius evaluation, and a blocked one.  The naive and linear forms
+are the oracles; the blocked forms are what production counting uses:
 
     U(t, k) = sum_s mu(s) * floor(t/s) * floor(k/s)
     V(t, k) = sum_d mu(d) * A(t, d) * A(k, d),
               A(t, d) = sum_{i=1}^{floor(ceil(t)/d)} (t + 1 - d*i)
 
-All fast-path arithmetic is exact: products of doubled A-values are
-evaluated in int64 limbs (split + chunked accumulation into Python ints)
-with the overflow envelope checked, never assumed.
+u_mobius and v_fast sum these term by term over d <= min(ceil t, ceil k),
+with the products of doubled A-values in int64 limbs (split + chunked
+accumulation into Python ints) and the overflow envelope checked, never
+assumed.  u_blocked and v_blocked group d into the O(sqrt(t) + sqrt(k))
+blocks on which floor(ceil(t)/d) and floor(ceil(k)/d) are both constant.
+On a block 2A is linear in d, so a block contributes a quadratic in d and
+needs only the differences of M_0, M_1, M_2 at its ends.  Those come from
+prefix sums over mu up to the sieve limit, and above it from the Dirichlet
+identity sum_{d<=x} d^j M_j(x // d) = 1, memoised per NTTables (Deleglise &
+Rivat, Exp. Math. 1996).  So the blocked kernels need a sieve only to
+kernel_sieve_limit(t, k) = min(D, ceil(8 K^(2/3))), with D and K the
+shorter and longer ceil argument, not to D.  Their block sums run in
+Python ints, or in int64 where a bound checked in code proves that exact.
 
 The square sequence serves whole OEIS b-files.  With C_j, S_j and Q_j the
 count, sum of i and sum of i*j over coprime pairs (i, j) in [1, j]^2,
@@ -43,7 +54,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Any, Callable, Iterator, Union
 
 import numpy as np
 
@@ -55,6 +66,17 @@ HalfIntLike = Union[int, Fraction, "HalfInt"]
 # limb products must stay below 2^62.  bits <= 56 keeps every chunk >= 32
 # elements, which covers arguments up to ~2.6e8.
 _MAX_DOUBLED_A_BITS = 56
+
+# The blocked kernels sieve to about KERNEL_SIEVE_C * K^(2/3) (see
+# kernel_sieve_limit).  On count requests with sides 10^5..10^6, 6, 8, 12
+# and 16 were within noise of each other (24 and up slower); at 10^8..10^9
+# 8 was fastest and needs about half the memory of 16 (count_p(10^9):
+# 1.5 s and 253 MB against 2.2 s and 444 MB).
+KERNEL_SIEVE_C = 8
+
+# int64 arithmetic is used only where a checked bound keeps every value
+# below this; past it the same expression runs on Python ints
+_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True, order=True)
@@ -130,46 +152,91 @@ class QuarterInt:
 
 @dataclass(frozen=True, eq=False)
 class NTTables:
-    """Sieved arithmetic tables up to ``limit``.
+    """Arithmetic tables up to ``limit``, each built on first access.
 
-    mu is built eagerly by :func:`sieve`; it is the only table the counting
-    formulas read.  phi, Phi (the cumulative totient) and ``psi_float``
-    (Psi in float64) are built together on first access to any of them;
-    exact Psi is exposed through :meth:`psi` as a Fraction, its prefix
-    extended on demand (an eager array of exact Psi values is impossible at
-    large limits: the reduced denominator of Psi(k) grows like lcm(1..k)).
-    Arrays are indexed 1..limit (index 0 is a zero sentinel) and read-only.
-    Every lazy build and every extension of the Psi prefix happens under
-    one per-instance lock, so a single instance is safe to share across
-    threads.
+    mu (which :func:`sieve` builds eagerly), phi, Phi (the cumulative
+    totient), ``psi_float`` (Psi in float64) and the weighted Mertens
+    prefix sums are each built once, from what they derive from: Phi and
+    ``psi_float`` from phi, the prefix sums from mu.  A caller that reads
+    only phi therefore builds only phi.  Exact Psi is exposed through
+    :meth:`psi` as a Fraction, its prefix extended on demand (an eager
+    array of exact Psi values is impossible at large limits: the reduced
+    denominator of Psi(k) grows like lcm(1..k)).  Weighted Mertens values
+    above the prefix are memoised here by the blocked kernels.  Arrays are
+    indexed 1..limit (index 0 is a zero sentinel) and read-only.  Every
+    lazy build, every extension of the Psi prefix and every memo fill
+    happens under one per-instance re-entrant lock, so a single instance
+    is safe to share across threads.
     """
 
     limit: int
-    mu: np.ndarray
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    _sieved: dict[str, Any] = field(default_factory=dict, repr=False)
     _totients: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _psi_cache: list[Fraction] = field(default_factory=lambda: [Fraction(0)], repr=False)
+    _mertens_memo: dict[int, tuple[int, int, int]] = field(default_factory=dict, repr=False)
 
-    def _totient_table(self, name: str) -> np.ndarray:
-        with self._lock:
-            if not self._totients:
-                self._totients.update(_totient_tables(self.limit))
-            return self._totients[name]
+    def __post_init__(self) -> None:
+        if self.limit < 1:
+            raise ValueError(f"sieve limit must be >= 1, got {self.limit}")
+
+    def _lazy(self, store: dict, name: str, build: Callable[[], Any]) -> Any:
+        table = store.get(name)  # a table is stored only once fully built
+        if table is None:
+            with self._lock:
+                if name not in store:
+                    store[name] = build()
+                table = store[name]
+        return table
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Moebius function, sieved on first access."""
+        return self._lazy(self._sieved, "mu", lambda: _mu_table(self.limit))
 
     @property
     def phi(self) -> np.ndarray:
-        """Euler totient, built on first access."""
-        return self._totient_table("phi")
+        """Euler totient, sieved on first access."""
+        return self._lazy(self._totients, "phi", lambda: _phi_table(self.limit))
 
     @property
     def Phi(self) -> np.ndarray:
         """Cumulative totient sum_{i<=k} phi(i), built on first access."""
-        return self._totient_table("Phi")
+        return self._lazy(self._totients, "Phi", lambda: _read_only(np.cumsum(self.phi)))
 
     @property
     def psi_float(self) -> np.ndarray:
         """Psi(k) = sum_{i<=k} phi(i)/i in float64, built on first access."""
-        return self._totient_table("psi_float")
+
+        def build() -> np.ndarray:
+            ratios = self.phi.astype(np.float64)
+            ratios[1:] /= np.arange(1, self.limit + 1, dtype=np.float64)
+            return _read_only(np.cumsum(ratios))
+
+        return self._lazy(self._totients, "psi_float", build)
+
+    @property
+    def mertens_prefix(self) -> np.ndarray:
+        """Rows M_0, M_1, M_2 at x = 0..top as int64, built on first access.
+
+        top is the limit, unless M_2 would leave int64 below it (see
+        _mertens_prefix); weighted_mertens covers every x either way.
+        """
+        return self._lazy(self._sieved, "mertens", lambda: _mertens_prefix(self.mu))
+
+    def _mertens_above(self, xs: list[int]) -> list[tuple[int, int, int]]:
+        """(M_0, M_1, M_2) at ascending xs above the prefix, memoised.
+
+        xs must be closed under x -> x // q above the prefix, so that every
+        value the recursion reads is memoised before it is needed.
+        """
+        prefix = self.mertens_prefix
+        with self._lock:
+            memo = self._mertens_memo
+            for x in xs:
+                if x not in memo:
+                    memo[x] = _mertens_recurse(x, prefix, memo)
+            return [memo[x] for x in xs]
 
     def psi(self, k: int) -> Fraction:
         """Exact Psi(k) = sum_{i<=k} phi(i)/i."""
@@ -184,6 +251,11 @@ class NTTables:
             return cache[k]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _small_primes(root: int) -> Iterator[int]:
     """The primes <= root, by an Eratosthenes pass over a boolean array."""
     composite = np.zeros(root + 1, dtype=bool)
@@ -194,18 +266,21 @@ def _small_primes(root: int) -> Iterator[int]:
 
 
 def sieve(limit: int) -> NTTables:
-    """Build mu up to ``limit``; phi, Phi and the Psi views follow lazily.
+    """Tables up to ``limit`` with mu sieved now; the rest follow lazily.
 
     Each prime p <= sqrt(limit) flips the sign of mu at its multiples,
     zeroes it at the multiples of p^2, and multiplies p into ``rad``, the
     product of the distinct small primes of each index.  A squarefree index
     larger than its rad has exactly one prime factor > sqrt(limit), which
-    flips its sign once more in a single vector pass.  Runs in ~25 ms at
-    limit = 10^6.
+    flips its sign once more in a single vector pass.  Takes about 30 ms
+    at limit = 10^6 and 0.4 s at 10^7 (best of 7, 2 shared vCPUs).
     """
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    n = limit
+    tables = NTTables(limit)
+    tables.mu  # noqa: B018  (sieve now, not on first use)
+    return tables
+
+
+def _mu_table(n: int) -> np.ndarray:
     # rad(x) <= x, so int32 holds it below 2^31 and halves the memory traffic
     dtype = np.int32 if n < 2**31 else np.int64
     mu = np.ones(n + 1, dtype=np.int8)
@@ -216,12 +291,11 @@ def sieve(limit: int) -> NTTables:
         rad[p::p] *= p
     mu[rad != np.arange(n + 1, dtype=dtype)] *= -1
     mu[0] = 0
-    mu.flags.writeable = False
-    return NTTables(limit=n, mu=mu)
+    return _read_only(mu)
 
 
-def _totient_tables(n: int) -> dict[str, np.ndarray]:
-    """phi, Phi and psi_float up to n, read-only.
+def _phi_table(n: int) -> np.ndarray:
+    """phi up to n, read-only.
 
     Primes up to sqrt(n) strip small factors; whatever cofactor remains is
     1 or a single prime > sqrt(n), fixed up in one vector pass.
@@ -240,13 +314,7 @@ def _totient_tables(n: int) -> dict[str, np.ndarray]:
     big = cofactor > 1  # exactly one prime factor > sqrt(n) remains
     phi[big] *= cofactor[big] - 1
     phi[0] = 0
-    Phi = np.cumsum(phi)
-    ratios = phi.astype(np.float64)
-    ratios[1:] /= np.arange(1, n + 1, dtype=np.float64)
-    psi_float = np.cumsum(ratios)
-    for arr in (phi, Phi, psi_float):
-        arr.flags.writeable = False
-    return {"phi": phi, "Phi": Phi, "psi_float": psi_float}
+    return _read_only(phi)
 
 
 def u_naive(p: int, q: int) -> int:
@@ -393,3 +461,232 @@ def uv_square_sequence(n: int, tables: NTTables) -> tuple[list[int], list[int]]:
         u.append(c)
         four_v.append(4 * (w * w * c - 2 * w * s + q))
     return u, four_v
+
+
+# -- the blocked kernel: U and 4V from weighted Mertens sums ---------------
+
+def kernel_sieve_limit(t: int, k: int) -> int:
+    """How far to sieve for the blocked kernels at ceiling arguments t and k.
+
+    min(D, ceil(KERNEL_SIEVE_C * K^(2/3))) with D = min(t, k) and
+    K = max(t, k), in integer arithmetic, and at least 1.  The block ends
+    above the limit are the values t // q and k // q in (limit, D]; the
+    memoised recursion fills M_j there at a cost of about (t + k) /
+    sqrt(limit), against the sieve's O(limit), so the limit follows the
+    long side and stops at the short one.  For a square of side D up to
+    512 it is D itself.
+    """
+    short, long = max(1, min(t, k)), max(1, t, k)
+    target = KERNEL_SIEVE_C**3 * long * long
+    root = round(target ** (1 / 3))  # integer cube root of target, rounded up
+    while root**3 < target:
+        root += 1
+    while (root - 1) ** 3 >= target:
+        root -= 1
+    return min(short, root)
+
+
+def _require_kernel_limit(tables: NTTables, t: int, k: int) -> None:
+    if tables.limit >= min(t, k):
+        return
+    need = kernel_sieve_limit(t, k)
+    if tables.limit < need:
+        raise ValueError(f"sieve limit {tables.limit} < kernel_sieve_limit({t}, {k}) = {need}")
+
+
+def _as_exact(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a`` for arithmetic whose intermediates stay within ``bound``.
+
+    int64 when the caller's bound is below 2^62, otherwise Python ints
+    (an object array), so the same expression is exact either way.
+    """
+    return a if bound < _INT64_SAFE else a.astype(object)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum(a * b).
+
+    For int64 a and b the float64 sum of |a * b| bounds every product and
+    partial sum (its relative error is below 1e-6 at any feasible length);
+    below 2^62 the int64 dot is exact, otherwise it runs on Python ints.
+    """
+    if a.dtype != object and b.dtype != object:
+        bound = np.abs(a, dtype=np.float64) @ np.abs(b, dtype=np.float64)
+        if bound < _INT64_SAFE:
+            return int(a @ b)
+    return int(a.astype(object) @ b.astype(object))
+
+
+def _mertens_prefix(mu: np.ndarray) -> np.ndarray:
+    """M[j, x] = M_j(x) = sum_{d<=x} d^j mu(d) for j = 0, 1, 2, x = 0..top, int64.
+
+    Summed in chunks short enough that no in-chunk partial sum reaches
+    2^62 (each term is at most limit^2).  A chunk's running offset is added
+    only where the prefix provably stays below 2^62: by the static bound
+    len * d_max^2 when that suffices, otherwise by the chunk's actual
+    extremes, checked in Python ints.  The table ends before the first
+    chunk that fails, so top < limit only where M_2 itself outgrows int64
+    (around limit ~ 10^8); the recursion covers everything above top.
+    """
+    n = len(mu) - 1
+    if n >= 2**31:
+        raise CapacityError(f"weighted Mertens prefix past 2^31 (limit {n})")
+    step = max(1, _INT64_SAFE // max(1, n * n))
+    prefix = np.empty((3, n + 1), dtype=np.int64)
+    offset = np.zeros((3, 1), dtype=np.int64)
+    for lo in range(0, n + 1, step):
+        hi = min(lo + step, n + 1)
+        d = np.arange(lo, hi, dtype=np.int64)
+        chunk = prefix[:, lo:hi]
+        chunk[0] = mu[lo:hi]
+        chunk[1] = chunk[0] * d
+        chunk[2] = chunk[1] * d
+        np.cumsum(chunk, axis=1, out=chunk)
+        reach = int(np.abs(offset).max())
+        if reach + (hi - lo) * (hi - 1) ** 2 >= _INT64_SAFE:
+            if reach + int(np.abs(chunk).max()) >= _INT64_SAFE:
+                return _read_only(prefix[:, :lo].copy())
+        chunk += offset
+        offset = chunk[:, -1:].copy()
+    return _read_only(prefix)
+
+
+def _power_sum(n: np.ndarray, j: int, top: int) -> np.ndarray:
+    """sum_{i<=n} i^j elementwise for int64 0 <= n <= top, exact."""
+    if j == 0:
+        return n
+    if j == 1:
+        n = _as_exact(n, (top + 1) ** 2)
+        return n * (n + 1) // 2
+    n = _as_exact(n, (top + 1) ** 2 * (2 * top + 1))
+    return n * (n + 1) * (2 * n + 1) // 6
+
+
+def _mertens_recurse(x: int, prefix: np.ndarray,
+                     memo: dict[int, tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(M_0, M_1, M_2) at x above the prefix, from sum_{d<=x} d^j M_j(x // d) = 1.
+
+    The d <= r = isqrt(x) are summed one by one: x // d above the prefix
+    is read from the memo (d <= x // (top + 1)), the rest from the prefix.
+    The d > r are grouped by v = x // d <= r, each group weighted by the
+    power sums over its range of d (Deleglise & Rivat, Exp. Math. 1996).
+    """
+    top = prefix.shape[1] - 1
+    r = math.isqrt(x)
+    if r > top:
+        raise CapacityError(f"M_j({x}) needs the prefix to reach {r}, it stops at {top}")
+    n_memo = min(r, x // (top + 1))
+    d = np.arange(n_memo + 1, r + 1, dtype=np.int64)
+    at_y = prefix[:, x // d]
+    v = np.arange(1, x // (r + 1) + 1, dtype=np.int64)
+    at_v = prefix[:, v]
+    upper, lower = x // v, np.maximum(x // (v + 1), r)
+    d_powers = (np.ones_like(d), d, d * d)
+    sums = []
+    for j in range(3):
+        s = sum(q**j * memo[x // q][j] for q in range(2, n_memo + 1))
+        s += _dot(d_powers[j], at_y[j])
+        s += _dot(at_v[j], _power_sum(upper, j, x) - _power_sum(lower, j, x))
+        sums.append(1 - s)
+    return sums[0], sums[1], sums[2]
+
+
+def _mertens_at(xs: np.ndarray, tables: NTTables) -> np.ndarray:
+    """Rows M_0, M_1, M_2 at ascending xs, from the prefix and the memoised recursion.
+
+    The xs above the prefix must be closed under x -> x // q (block ends
+    and hierarchies are).  int64 when every x is in the prefix, otherwise
+    Python ints.
+    """
+    prefix = tables.mertens_prefix
+    top = prefix.shape[1] - 1
+    if xs[-1] <= top:
+        return prefix[:, xs]
+    split = int(np.searchsorted(xs, top, side="right"))
+    high = np.array(tables._mertens_above(xs[split:].tolist()), dtype=object).T
+    return np.concatenate((prefix[:, xs[:split]].astype(object), high), axis=1)
+
+
+def weighted_mertens(x: int, tables: NTTables) -> tuple[int, int, int]:
+    """(M_0(x), M_1(x), M_2(x)) with M_j(x) = sum_{d<=x} d^j mu(d), exact.
+
+    From the prefix sums when x is within them, otherwise from the
+    memoised Dirichlet recursion, which needs sqrt(x) within the prefix.
+    """
+    if x < 0:
+        raise ValueError(f"M_j is defined for x >= 0, got {x}")
+    top = tables.mertens_prefix.shape[1] - 1
+    hierarchy = np.unique(x // np.arange(1, max(1, x // (top + 1)) + 1, dtype=np.int64))
+    m0, m1, m2 = _mertens_at(hierarchy, tables)[:, -1]
+    return int(m0), int(m1), int(m2)
+
+
+def _blocks(ct: int, ck: int, tables: NTTables) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of blocks of d <= top = min(ct, ck) and, per block, the sums of d^j mu(d).
+
+    The ends are every d <= min(top, isqrt(max(ct, ck))) and the values
+    n // q <= top for n = ct, ck and q <= isqrt(n), sorted.  That includes
+    every point where ct // d or ck // d changes, so both are constant on
+    each block (a repeated end is an empty block), and the ends above
+    isqrt(max(ct, ck)) are quotients of ct or ck, closed under
+    x -> x // q as _mertens_at needs.
+    """
+    top = min(ct, ck)
+    root_t, root_k = math.isqrt(ct), math.isqrt(ck)
+    q = np.arange(1, max(root_t, root_k) + 1, dtype=np.int64)
+    ends = q[:top]
+    if len(ends) < top:
+        ends = np.sort(np.concatenate((ends, ct // q[ct // (top + 1):root_t],
+                                       ck // q[ck // (top + 1):root_k])))
+    at_ends = _mertens_at(ends, tables)
+    moments = at_ends.copy()
+    moments[:, 1:] -= at_ends[:, :-1]
+    return ends, moments
+
+
+def u_blocked(t: int, k: int, tables: NTTables) -> int:
+    """U(t, k) = sum_s mu(s) floor(t/s) floor(k/s), one term per block.
+
+    Both floors are constant on the O(sqrt(t) + sqrt(k)) blocks of s, so
+    each block contributes floor(t/s) floor(k/s) times its sum of mu.
+    Needs tables.limit >= kernel_sieve_limit(t, k); equals u_mobius.
+    """
+    if t < 0 or k < 0:
+        raise ValueError("U is defined for non-negative arguments")
+    top = min(t, k)
+    if top == 0:
+        return 0
+    _require_kernel_limit(tables, t, k)
+    ends, moments = _blocks(t, k, tables)
+    # each block's |sum of mu| is at most its length, and the lengths add up to top
+    q = _as_exact(t // ends, t * k * top)
+    return int(q * (k // ends) @ moments[0])
+
+
+def v_blocked(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> QuarterInt:
+    """4V(t, k) = sum_d mu(d) 2A(t, d) 2A(k, d), one term per block.
+
+    With c = floor(ceil(t)/d) constant on a block, 2A(t, d) =
+    c(2t + 2 - (c + 1) d) is linear in d there, so the block contributes a
+    quadratic in d: its sums of d^j mu(d), j = 0, 1, 2, weighted by the
+    coefficients of the product of the two sides.  Accumulated in Python ints,
+    or in int64 where a bound proves that exact: correct at any size.
+    Needs tables.limit >= kernel_sieve_limit(ceil(t), ceil(k)); equals
+    v_fast.
+    """
+    T, K, ct, ck = _v_prepare(t, k)
+    top = min(ct, ck)
+    if top <= 0:
+        return QuarterInt(0)
+    _require_kernel_limit(tables, ct, ck)
+    ends, moments = _blocks(ct, ck, tables)
+    # c <= ceil on each side and |sum of d^j mu(d)| <= top^j * length
+    # bound every intermediate of the block sum below
+    bound = ct * ck * top * ((T + 2) * (K + 2 + (ck + 1) * top)
+                             + (ct + 1) * top * ((ck + 1) * top + K + 2))
+    m0, m1, m2 = _as_exact(moments, bound)
+    qt, qk = _as_exact(ct // ends, bound), ck // ends
+    pt, pk = qt + 1, qk + 1
+    # 2A(t, d) 2A(k, d) = qt qk (T + 2 - pt d)(K + 2 - pk d) on the block
+    inner = (T + 2) * ((K + 2) * m0 - pk * m1) + pt * (pk * m2 - (K + 2) * m1)
+    return QuarterInt(int((qt * qk) @ inner))

@@ -8,13 +8,15 @@ import pytest
 import gridthresh.cli
 import gridthresh.oracle
 import gridthresh.teaching
-from gridthresh import GridSpec, count_p, count_total, cross_validate, sieve, u_mobius
+from gridthresh import GridSpec, NTTables, count_p, count_total, cross_validate, sieve, u_mobius
 from gridthresh.cli import (
+    COUNT_SIDE_CAP,
     EXIT_CAPACITY,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     OEIS_COUNT_CAP,
+    OEIS_SEQUENCES,
     main,
 )
 
@@ -292,3 +294,66 @@ def test_bench(capsys):
 
 def test_mismatch_exit_code_is_reserved():
     assert EXIT_MISMATCH == 3
+
+
+def _refuse_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built tables past the capacity check")
+
+    monkeypatch.setattr(gridthresh.cli, "sieve", refuse)
+    monkeypatch.setattr(gridthresh.cli, "NTTables", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--k", str(COUNT_SIDE_CAP + 2)),
+    ("count", "--m", str(COUNT_SIDE_CAP + 1), "--n", "1"),
+    ("count", "--m", "1", "--n", str(COUNT_SIDE_CAP + 1), "--breakdown"),
+    ("count", "--m", str(10**15), "--n", str(10**15)),
+    ("bench", "--k", str(COUNT_SIDE_CAP + 2), "--repeat", "1"),
+])
+def test_count_and_bench_past_side_cap_exit_capacity_before_sieving(capsys, monkeypatch, argv):
+    _refuse_tables(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAPACITY
+    assert out == "" and "capacity" in err.lower()
+
+
+@pytest.mark.parametrize("count", [OEIS_COUNT_CAP + 1, 10**9])
+def test_oeis_past_count_cap_builds_no_tables(capsys, monkeypatch, count):
+    _refuse_tables(monkeypatch)
+    code, out, _ = run(capsys, "oeis", "--sequence", "A018805", "--count", str(count))
+    assert code == EXIT_CAPACITY and out == ""
+
+
+def test_count_at_side_cap_sieves_to_the_kernel_limit(capsys, monkeypatch):
+    limits = []
+
+    def record(limit):
+        limits.append(limit)
+        raise gridthresh.cli.CapacityError("stop after recording the limit")
+
+    monkeypatch.setattr(gridthresh.cli, "sieve", record)
+    assert run(capsys, "count", "--k", str(COUNT_SIDE_CAP + 1))[0] == EXIT_CAPACITY
+    assert run(capsys, "bench", "--k", "1000001")[0] == EXIT_CAPACITY
+    assert run(capsys, "count", "--m", "1000000", "--n", "8000000")[0] == EXIT_CAPACITY
+    kernel_sieve_limit = gridthresh.cli.kernel_sieve_limit
+    assert limits == [kernel_sieve_limit(COUNT_SIDE_CAP, COUNT_SIDE_CAP),
+                      kernel_sieve_limit(10**6, 10**6), kernel_sieve_limit(10**6, 8 * 10**6)]
+    assert limits[1] < 10**6 and limits[1] < limits[2] < 10**6
+
+
+def test_oeis_builds_only_the_totient_table(capsys, monkeypatch):
+    built = []
+
+    class Recorded(NTTables):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(gridthresh.cli, "NTTables", Recorded)
+    monkeypatch.setattr(gridthresh.cli, "sieve", None)  # the b-file path sieves no mu
+    for sequence in OEIS_SEQUENCES:
+        assert run(capsys, "oeis", "--sequence", sequence, "--count", "500")[0] == EXIT_OK
+    assert len(built) == 3
+    for tables in built:
+        assert set(tables._totients) == {"phi"} and not tables._sieved
