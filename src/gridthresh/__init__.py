@@ -64,7 +64,14 @@ from .oracle import (
     enumerate_by_lines,
     enumerate_by_subsets,
 )
-from .teaching import CensusResult, TeachingReport, census, min_teaching_set, predict_size
+from .teaching import (
+    CensusResult,
+    TeachingReport,
+    census,
+    forced_points,
+    min_teaching_set,
+    predict_size,
+)
 
 __version__ = "0.1.0"
 
@@ -100,6 +107,7 @@ __all__ = [
     "enumerate_by_lines",
     "enumerate_by_subsets",
     "equivalent",
+    "forced_points",
     "kernel_sieve_limit",
     "lattice_points_on",
     "leading_estimate",

@@ -110,17 +110,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = GridSpec(args.m, args.n)
-    tables = sieve(max(1, min(grid.m, grid.n)))
     started = time.perf_counter()
-    # honour the requested method's capacity limits before validating;
-    # cross_validate reuses these results and runs any other oracle that
-    # fits, every oracle on the first one's candidate scan
+    # honour the requested method's capacity limits before sieving or
+    # validating; cross_validate reuses these results and runs any other
+    # oracle that fits, every oracle on the first one's candidate scan
     subsets = enumerate_by_subsets(grid) if args.method in ("subsets", "both") else None
     lines = None
     if args.method in ("lines", "both"):
         lines = enumerate_by_lines(grid, scan=subsets.scan if subsets is not None else None)
     if args.dump:
         dump_functions(lines if lines is not None else subsets, args.dump)
+    tables = sieve(kernel_sieve_limit(grid.m, grid.n))
     report = cross_validate(grid, tables, subsets=subsets, lines=lines)
     record = {
         "command": "oracle",

@@ -173,16 +173,12 @@ def complement_fn(f: ThresholdFn) -> ThresholdFn:
     """The point-reflected complement g(x, y) = 1 - f(m - x, n - y).
 
     An involution on threshold functions; used by the teaching-set size
-    rule.
+    rule.  The reflection maps row-major bit i to bit P - 1 - i, so the
+    complement's zero-set is the P-bit reversal of f's one-set.
     """
-    g = f.grid
-    zeros = 0
-    for y in range(g.n + 1):
-        for x in range(g.m + 1):
-            source = g.bit_index(g.m - x, g.n - y)
-            if not (f.zeros >> source) & 1:
-                zeros |= 1 << g.bit_index(x, y)
-    return ThresholdFn(g, zeros)
+    count = f.grid.point_count
+    ones = ~f.zeros & ((1 << count) - 1)
+    return ThresholdFn(f.grid, int(format(ones, f"0{count}b")[::-1], 2))
 
 
 def candidate_directions(grid: GridSpec) -> Iterator[tuple[int, int]]:

@@ -12,17 +12,30 @@ non-constant function: f is an anchored run, and the two points that
 straddle its cut teach it, while no single point does, since a constant
 agrees with f there.
 
-min_teaching_set verifies minimality exhaustively (sizes ascending,
-subsets in lexicographic point order so witnesses are reproducible) and
-the census compares every exhaustive answer against the rule, surfacing
+A point p is forced for f when flipping f at p gives another function of
+the universe.  Only p tells those two apart, so every teaching set holds
+the forced set S.  min_teaching_set finds S with P set lookups and checks
+that no other function agrees with f on S, in one bit-parallel pass over
+the universe: an AND of one |universe|-bit column per point of S.  When
+none does, S is the unique minimum teaching set: O(P + |universe|) per
+function.  Otherwise a branching hitting-set search over the
+difference masks f ^ g takes over, with sizes ascending from |S| and
+subsets in lexicographic point order.  Either way the witness is the first
+minimum teaching set in lexicographic point order, so witnesses are
+reproducible.  Masks are exact Python ints at every grid size.  On the
+complete universe of every grid up to TEACH_POINT_CAP points the
+certificate alone has decided every function; the search serves
+incomplete universes.
+
+The census compares every answer against the rule, surfacing
 disagreements instead of hiding them.  Constants fall outside the rule;
 their sizes are still computed and reported.
 
 The universe of a search is an EnumerationResult; the rule reads the
 stability of f and its complement from that result's candidate scan
-through CandidateScan.classify, so a census scans its grid once.  The
-exhaustive search holds a C(P, 4) x |universe| matrix for a grid of P
-points, so grids above TEACH_POINT_CAP points are refused with
+through CandidateScan.classify, so a census scans its grid once.  A census
+costs O(|universe| (P + |universe|)) and the search is exponential in P at
+worst, so grids above TEACH_POINT_CAP points are refused with
 CapacityError before anything is enumerated.
 """
 
@@ -31,10 +44,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
-
-import numpy as np
 
 from .errors import CapacityError
 from .geometry import CandidateScan, Point, ThresholdFn, complement_fn
@@ -42,12 +52,15 @@ from .geometry import classify, scan_candidates  # noqa: F401  (names perfbench/
 from .grid import GridSpec
 from .oracle import EnumerationResult, enumerate_by_lines
 
-TEACH_POINT_CAP = 36
+# an 8 x 8 grid (81 points, 4082 functions, the most functions of any grid
+# within this cap and the line oracle's) takes about 0.9 s and 33 MB peak
+# RSS for `teach --check`; past the cap a census is refused before enumerating
+TEACH_POINT_CAP = 81
 
 
 @dataclass(frozen=True)
 class TeachingReport:
-    """Exhaustive minimum teaching set of one function, plus the rule's say.
+    """Minimum teaching set of one function, plus the rule's say.
 
     predicted_size and rule_agrees are None for constant functions.
     """
@@ -97,43 +110,80 @@ def _check_member(f: ThresholdFn, universe: EnumerationResult) -> None:
         raise ValueError("function is not a member of the supplied universe")
 
 
-class _TeachingSearch:
-    """Shared state for exhaustive teaching-set searches on one grid.
+class _Teacher:
+    """Minimum teaching sets of the functions of one universe.
 
-    Subset bit-masks per size are built once (lexicographic point order)
-    and reused across functions; the per-function test is a vectorised
-    "every difference mask hits the subset" check.
+    Points are held in lexicographic (x, y) order, each with its
+    row-major zero-set bit and its column: the |universe|-bit set of the
+    functions that are 0 there.  Masks and columns are exact Python ints
+    of any width.
     """
 
     def __init__(self, universe: EnumerationResult):
         grid = universe.grid
         self.scan = universe.scan
-        self.all_masks = np.array([f.zeros for f in universe.functions], dtype=np.uint64)
-        points = sorted(grid.points())  # lexicographic (x, y)
-        self.points = points
-        self.bits = [grid.bit_index(x, y) for x, y in points]
-        self._combos: dict[int, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+        self.masks = [f.zeros for f in universe.functions]
+        self.members = frozenset(self.masks)
+        self.points = sorted(grid.points())  # lexicographic (x, y)
+        self.bits = [1 << grid.bit_index(x, y) for x, y in self.points]
+        # transpose through binary strings: string position k is bit P-1-k
+        # of a mask, and string position i of a column is function i
+        width = grid.point_count
+        rows = [format(mask, f"0{width}b") for mask in self.masks]
+        by_bit = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+        self.columns = [by_bit[grid.bit_index(x, y)] for x, y in self.points]
+        self.everyone = (1 << len(self.masks)) - 1
 
-    def _subsets(self, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        if size not in self._combos:
-            combos = list(combinations(range(len(self.points)), size))
-            masks = np.array(
-                [sum(1 << self.bits[i] for i in combo) for combo in combos],
-                dtype=np.uint64,
-            )
-            self._combos[size] = (combos, masks)
-        return self._combos[size]
+    def forced(self, zeros: int) -> list[int]:
+        """Indices of the points where flipping f gives another member."""
+        return [j for j, bit in enumerate(self.bits) if zeros ^ bit in self.members]
 
-    def minimum(self, f: ThresholdFn) -> tuple[int, tuple[Point, ...]]:
-        diffs = self.all_masks ^ np.uint64(f.zeros)
-        diffs = diffs[diffs != 0]
-        for size in range(1, len(self.points) + 1):
-            combos, masks = self._subsets(size)
-            hits = np.all(diffs[None, :] & masks[:, None], axis=1)
-            first = int(np.argmax(hits))
-            if hits[first]:
-                witness = tuple(self.points[i] for i in combos[first])
-                return size, witness
+    def minimum(self, zeros: int) -> tuple[int, tuple[Point, ...]]:
+        forced = self.forced(zeros)
+        agree = self.everyone  # the members that agree with f on the forced set
+        for j in forced:
+            agree &= self.columns[j] if zeros & self.bits[j] else ~self.columns[j]
+        # every teaching set holds the forced points; if they alone tell f
+        # (itself a member) from every other member, they are the only
+        # minimum teaching set
+        if agree.bit_count() == 1:
+            chosen = forced
+        else:
+            chosen = self._search(zeros, len(forced))
+        return len(chosen), tuple(self.points[j] for j in chosen)
+
+    def _search(self, zeros: int, lower: int) -> list[int]:
+        """Lexicographically first smallest set hitting every f ^ g, g != f.
+
+        Sizes ascend from ``lower``; within a size, points are chosen in
+        lexicographic order, and a branch stops as soon as some unhit
+        difference has no point left to choose (a skipped forced point is
+        such a difference).
+        """
+        bits = self.bits
+        count = len(bits)
+        tails = [0] * (count + 1)  # tails[j]: the bits of points j, j + 1, ...
+        for j in range(count - 1, -1, -1):
+            tails[j] = tails[j + 1] | bits[j]
+
+        def extend(start: int, chosen: list[int], unhit: list[int], room: int) -> Optional[list[int]]:
+            if not unhit:
+                return chosen + list(range(start, start + room))
+            if not room:
+                return None
+            for j in range(start, count - room + 1):
+                if any(not d & tails[j] for d in unhit):
+                    return None
+                found = extend(j + 1, chosen + [j], [d for d in unhit if not d & bits[j]], room - 1)
+                if found is not None:
+                    return found
+            return None
+
+        diffs = [g ^ zeros for g in self.masks if g != zeros]
+        for size in range(lower, count + 1):
+            found = extend(0, [], diffs, size)
+            if found is not None:
+                return found
         raise AssertionError("the full lattice is always a teaching set")
 
 
@@ -148,18 +198,28 @@ def _predict(f: ThresholdFn, scan: CandidateScan) -> int:
 
 
 def min_teaching_set(f: ThresholdFn, universe: EnumerationResult) -> TeachingReport:
-    """Exhaustive minimum teaching set of f within the complete universe."""
+    """Minimum teaching set of f within the complete universe."""
     _check_member(f, universe)
     _check_capacity(f.grid)
-    return _report_for(f, _TeachingSearch(universe))
+    return _report_for(f, _Teacher(universe))
 
 
-def _report_for(f: ThresholdFn, search: _TeachingSearch) -> TeachingReport:
-    size, witness = search.minimum(f)
+def _report_for(f: ThresholdFn, teacher: _Teacher) -> TeachingReport:
+    size, witness = teacher.minimum(f.zeros)
     if f.is_constant:
         return TeachingReport(f, size, witness, None, None)
-    predicted = _predict(f, search.scan)
+    predicted = _predict(f, teacher.scan)
     return TeachingReport(f, size, witness, predicted, predicted == size)
+
+
+def forced_points(f: ThresholdFn, universe: EnumerationResult) -> tuple[Point, ...]:
+    """The points where flipping f gives another member of the universe.
+
+    Every teaching set of f contains them; in lexicographic order.
+    """
+    _check_member(f, universe)
+    teacher = _Teacher(universe)
+    return tuple(teacher.points[j] for j in teacher.forced(f.zeros))
 
 
 def predict_size(f: ThresholdFn, universe: EnumerationResult) -> int:
@@ -184,6 +244,6 @@ def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> Cens
         universe = enumerate_by_lines(grid)
     elif universe.grid != grid:
         raise ValueError("universe was enumerated for a different grid")
-    search = _TeachingSearch(universe)
-    reports = [_report_for(f, search) for f in universe.functions]
+    teacher = _Teacher(universe)
+    reports = [_report_for(f, teacher) for f in universe.functions]
     return CensusResult(grid=grid, reports=reports)

@@ -1,9 +1,10 @@
+import functools
 import os
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gridthresh import sieve
+from gridthresh import GridSpec, enumerate_by_lines, sieve
 
 # deterministic property tests: derandomized profile, no deadline flakiness
 settings.register_profile(
@@ -25,3 +26,9 @@ def tables512():
 @pytest.fixture(scope="session")
 def tables4096():
     return sieve(4096)
+
+
+@pytest.fixture(scope="session")
+def universe():
+    """universe(m, n): the line oracle's enumeration of the grid, built once per test run."""
+    return functools.cache(lambda m, n: enumerate_by_lines(GridSpec(m, n)))

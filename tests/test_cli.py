@@ -246,7 +246,7 @@ def test_teach_check_passes_on_collinear_grids(capsys, m, n):
     assert record["histogram"] == {"2": 2 * (m + n + 1)}
 
 
-@pytest.mark.parametrize("side", [6, 7])
+@pytest.mark.parametrize("side", [9, 10])
 def test_teach_past_point_cap_exits_capacity_before_enumerating(capsys, monkeypatch, side):
     def refuse(grid, **kwargs):
         raise AssertionError("the universe was enumerated past the capacity check")
@@ -314,6 +314,15 @@ def _refuse_tables(monkeypatch):
 def test_count_and_bench_past_side_cap_exit_capacity_before_sieving(capsys, monkeypatch, argv):
     _refuse_tables(monkeypatch)
     code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAPACITY
+    assert out == "" and "capacity" in err.lower()
+
+
+@pytest.mark.parametrize("method", ["subsets", "lines", "both"])
+def test_oracle_past_caps_exits_capacity_before_sieving(capsys, monkeypatch, method):
+    _refuse_tables(monkeypatch)
+    code, out, err = run(capsys, "oracle", "--m", str(10**9), "--n", str(10**9),
+                         "--method", method)
     assert code == EXIT_CAPACITY
     assert out == "" and "capacity" in err.lower()
 

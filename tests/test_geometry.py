@@ -163,6 +163,25 @@ def test_complement_fn_is_involution_on_enumerated_functions():
         assert complement_fn(complement_fn(f)).zeros == f.zeros
 
 
+def complement_by_points(f):
+    """g(x, y) = 1 - f(m - x, n - y), point by point."""
+    g = f.grid
+    zeros = 0
+    for y in range(g.n + 1):
+        for x in range(g.m + 1):
+            source = g.bit_index(g.m - x, g.n - y)
+            if not (f.zeros >> source) & 1:
+                zeros |= 1 << g.bit_index(x, y)
+    return zeros
+
+
+def test_complement_fn_equals_the_pointwise_reflection(universe):
+    for m in range(6):
+        for n in range(6):
+            for f in universe(m, n).functions:
+                assert complement_fn(f).zeros == complement_by_points(f), (m, n, f.zeros)
+
+
 # -- classification ----------------------------------------------------------
 
 def test_classify_unstable_corner_singleton():

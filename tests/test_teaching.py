@@ -1,17 +1,24 @@
 """Unit tests for minimum teaching sets and the 3/4 size rule."""
 
+import dataclasses
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import gridthresh.teaching
 from gridthresh import (
     GridSpec,
     ThresholdFn,
     census,
     enumerate_by_lines,
+    forced_points,
     min_teaching_set,
     predict_size,
 )
+
+from conftest import RANDOM_SEED
 
 
 def fn_from_points(grid, points):
@@ -130,3 +137,106 @@ def test_teaching_on_tiny_grids():
     # a single point: either function is taught by that point alone
     result = census(GridSpec(0, 0))
     assert result.histogram() == {1: 2}
+
+
+class DenseTeachingSearch:
+    """The exhaustive judge: every C(P, k) subset against every function.
+
+    Subset bit-masks per size are built once (lexicographic point order)
+    and reused across functions; the per-function test is a vectorised
+    "every difference mask hits the subset" check.  Limited to 64 points.
+    """
+
+    def __init__(self, universe):
+        grid = universe.grid
+        self.all_masks = np.array([f.zeros for f in universe.functions], dtype=np.uint64)
+        points = sorted(grid.points())  # lexicographic (x, y)
+        self.points = points
+        self.bits = [grid.bit_index(x, y) for x, y in points]
+        self._combos = {}
+
+    def _subsets(self, size):
+        if size not in self._combos:
+            combos = list(combinations(range(len(self.points)), size))
+            masks = np.array(
+                [sum(1 << self.bits[i] for i in combo) for combo in combos],
+                dtype=np.uint64,
+            )
+            self._combos[size] = (combos, masks)
+        return self._combos[size]
+
+    def minimum(self, f):
+        diffs = self.all_masks ^ np.uint64(f.zeros)
+        diffs = diffs[diffs != 0]
+        for size in range(1, len(self.points) + 1):
+            combos, masks = self._subsets(size)
+            hits = np.all(diffs[None, :] & masks[:, None], axis=1)
+            first = int(np.argmax(hits))
+            if hits[first]:
+                witness = tuple(self.points[i] for i in combos[first])
+                return size, witness
+        raise AssertionError("the full lattice is always a teaching set")
+
+
+def assert_census_matches_judge(universe):
+    judge = DenseTeachingSearch(universe)
+    result = census(universe.grid, universe=universe)
+    assert [r.fn for r in result.reports] == universe.functions
+    for report in result.reports:
+        assert (report.min_size, report.witness) == judge.minimum(report.fn), report.fn.zeros
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(5) for n in range(5)]
+                         + [(0, n) for n in range(5, 16)] + [(m, 0) for m in range(5, 16)])
+def test_forced_point_certificate_equals_the_dense_judge(universe, m, n):
+    assert_census_matches_judge(universe(m, n))
+
+
+def test_forced_points_are_the_witness_on_complete_universes(universe):
+    for spec in [(2, 2), (3, 2), (0, 4)]:
+        enum = universe(*spec)
+        for f in enum.functions:
+            report = min_teaching_set(f, enum)
+            assert report.witness == forced_points(f, enum), (spec, f.zeros)
+
+
+def thinned(universe, rng, share):
+    """The universe less every flip neighbour of one function, and less a
+    random share of the other non-constant functions.
+
+    The chosen function has no forced point left, and on 3 or more points
+    a constant that is not its neighbour remains, so its certificate fails.
+    """
+    centre = rng.choice(universe.functions)
+    neighbours = {centre.zeros ^ (1 << i) for i in range(universe.grid.point_count)}
+    keep = [f for f in universe.functions
+            if f == centre or (f.zeros not in neighbours
+                               and (f.is_constant or rng.random() >= share))]
+    return dataclasses.replace(universe, functions=keep)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (0, 5)])
+def test_fallback_search_equals_the_dense_judge_on_thinned_universes(universe, m, n, monkeypatch):
+    searches = []
+    original = gridthresh.teaching._Teacher._search
+
+    def counted(self, zeros, lower):
+        searches.append(zeros)
+        return original(self, zeros, lower)
+
+    monkeypatch.setattr(gridthresh.teaching._Teacher, "_search", counted)
+    rng = random.Random(RANDOM_SEED + 7 * m + n)
+    full = universe(m, n)
+    for share in (0.2, 0.5, 0.8):
+        assert_census_matches_judge(thinned(full, rng, share))
+    assert searches, "no thinned universe defeated the forced-point certificate"
+
+
+def test_census_rule_holds_on_every_grid_up_to_6x6(universe):
+    for m in range(1, 7):
+        for n in range(1, 7):
+            result = census(GridSpec(m, n), universe=universe(m, n))
+            assert result.mismatches() == [], (m, n)
+            for r in result.reports:
+                if not r.fn.is_constant:
+                    assert r.min_size in (3, 4), (m, n, r.fn.zeros)
