@@ -46,7 +46,6 @@ from .grid import GridSpec
 from .numtheory import (
     HalfInt,
     NTTables,
-    kernel_sieve_limit,
     u_blocked,
     uv_square_sequence,
     v_blocked,
@@ -77,12 +76,6 @@ class CountBreakdown:
             raise ValueError("total must equal 2(|F| + 1)")
 
 
-def _require_tables(grid: GridSpec, tables: NTTables) -> None:
-    need = kernel_sieve_limit(grid.m, grid.n)
-    if tables.limit < need:
-        raise ValueError(f"sieve limit {tables.limit} < kernel_sieve_limit(m, n) = {need}")
-
-
 def _total(m: int, n: int, four_v: int) -> int:
     """N(m, n) from 4V(m, n)."""
     return (2 * m + 1) * (2 * n + 1) + 1 + four_v
@@ -90,7 +83,6 @@ def _total(m: int, n: int, four_v: int) -> int:
 
 def count_total(grid: GridSpec, tables: NTTables) -> int:
     """N(m, n), exact; symmetric in m and n."""
-    _require_tables(grid, tables)
     return _total(grid.m, grid.n, v_blocked(grid.m, grid.n, tables).quadrupled)
 
 
@@ -114,7 +106,6 @@ def count_p_sequence(count: int, tables: NTTables) -> list[int]:
 
 def count_unstable(grid: GridSpec, tables: NTTables) -> int:
     """Unstable functions in F; geometric value (0) on degenerate grids."""
-    _require_tables(grid, tables)
     if grid.is_degenerate:
         return 0
     u = u_blocked(grid.m, grid.n, tables)

@@ -2,11 +2,11 @@
 
 Two independent enumerations of all threshold functions on a grid:
 
-* enumerate_by_subsets walks every dichotomy of the lattice and keeps the
-  separable ones, deciding separability by exact convex-hull disjointness
-  (zeros on the closed side, ones strictly on the open side, which for
-  compact hulls is equivalent to the hulls being disjoint).  It knows
-  nothing about lines or the closed formulas.
+* enumerate_by_subsets keeps the separable dichotomies of the lattice,
+  deciding separability by exact convex-hull disjointness (zeros on the
+  closed side, ones strictly on the open side, which for compact hulls
+  is equivalent to the hulls being disjoint).  It knows nothing about
+  lines or the closed formulas.
 
 * enumerate_by_lines evaluates the finite candidate-line family described
   in geometry and deduplicates the resulting zero-sets.
@@ -23,26 +23,32 @@ disputed bit-sets as witnesses.  A subset function missing from the
 candidate family is an internal fault and raises CandidateFamilyError
 with its zero-set as witness.
 
-Subset enumeration prunes with a necessary condition before the hull
-test: a half-plane meets each grid row in an interval anchored at one end
-(prefix for a > 0, suffix for a < 0), and the interval lengths, being
-clamped floors of an affine function of the row index, are monotone
-across rows.  The hull test alone decides membership for the survivors.
+The subset oracle's hull-test candidates are generated, not filtered out
+of the 2^P subsets: a half-plane meets each grid row in an interval
+anchored at one end (prefix for a > 0, suffix for a < 0), and the
+interval lengths, being clamped floors of an affine function of the row
+index, are monotone across rows.  So every separable dichotomy is a
+staircase, all rows prefixes or all suffixes with monotone lengths, and
+_staircases lists those directly from the monotone length sequences: at
+most 4 C(m + n + 2, n + 1) of them (484 of the 2^20 subsets of a 4 x 3
+grid).  The hull test alone decides membership for the staircases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Literal, Optional
 
-import numpy as np
-
 from .counting import breakdown
-from .errors import CapacityError
+from .errors import CandidateFamilyError, CapacityError
 from .geometry import CandidateScan, Point, ThresholdFn, _witness, scan_candidates
 from .grid import GridSpec
 from .numtheory import NTTables
 
+# the cap bounds hull tests, not memory: a grid of at most 20 points has at
+# most 484 staircases; cross_validate runs the subset oracle on every grid
+# within the cap, and past it the line oracle alone
 SUBSET_POINT_CAP = 20
 LINES_EXTENT_CAP = 15
 
@@ -53,9 +59,10 @@ Method = Literal["subsets", "lines"]
 class EnumerationResult:
     """All threshold functions of one grid, with the F-class split.
 
-    stable_count and unstable_count tally members of F only.  vertices
-    maps the zero bit-set of each unstable F-member to its vertex; scan is
-    the candidate scan the split was read from.
+    masks holds the zero bit-sets of the functions, built once with the
+    result.  stable_count and unstable_count tally members of F only.
+    vertices maps the zero bit-set of each unstable F-member to its
+    vertex; scan is the candidate scan the split was read from.
     """
 
     grid: GridSpec
@@ -65,10 +72,10 @@ class EnumerationResult:
     method: Method
     vertices: dict[int, Point]
     scan: CandidateScan = field(repr=False)
+    masks: frozenset[int] = field(init=False, repr=False)
 
-    @property
-    def masks(self) -> frozenset[int]:
-        return frozenset(f.zeros for f in self.functions)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", frozenset(f.zeros for f in self.functions))
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -180,61 +187,36 @@ def is_separable(zeros: list[Point], ones: list[Point]) -> bool:
 # subset enumeration
 
 
-def _anchored_pattern_tables(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validity and length lookup tables for prefix/suffix row patterns."""
-    size = 1 << width
-    prefix_ok = np.zeros(size, dtype=bool)
-    suffix_ok = np.zeros(size, dtype=bool)
-    prefix_len = np.zeros(size, dtype=np.int8)
-    suffix_len = np.zeros(size, dtype=np.int8)
-    for length in range(width + 1):
-        pm = (1 << length) - 1
-        sm = pm << (width - length)
-        prefix_ok[pm] = True
-        prefix_len[pm] = length
-        suffix_ok[sm] = True
-        suffix_len[sm] = length
-    return prefix_ok, prefix_len, suffix_ok, suffix_len
+def _staircases(grid: GridSpec) -> list[int]:
+    """The zero-sets whose rows are all prefixes or all suffixes, with
+    monotone lengths, in ascending order.
 
-
-def _separable_candidates(grid: GridSpec) -> np.ndarray:
-    """Bit-sets passing the anchored-row/monotone-length necessary filter."""
+    Each non-decreasing sequence of row lengths, taken as given and
+    reversed, is rendered once with every row a prefix and once with every
+    row a suffix.
+    """
     width = grid.m + 1
-    rows_n = grid.n + 1
-    total_bits = grid.point_count
-    masks = np.arange(1 << total_bits, dtype=np.int64)
-    row_mask = (1 << width) - 1
-    prefix_ok, prefix_len, suffix_ok, suffix_len = _anchored_pattern_tables(width)
-    rows = [(masks >> (r * width)) & row_mask for r in range(rows_n)]
-    all_prefix = np.ones(masks.shape, dtype=bool)
-    all_suffix = np.ones(masks.shape, dtype=bool)
-    for r in rows:
-        all_prefix &= prefix_ok[r]
-        all_suffix &= suffix_ok[r]
-
-    def monotone(lengths: list[np.ndarray]) -> np.ndarray:
-        rising = np.ones(masks.shape, dtype=bool)
-        falling = np.ones(masks.shape, dtype=bool)
-        for i in range(len(lengths) - 1):
-            rising &= lengths[i] <= lengths[i + 1]
-            falling &= lengths[i] >= lengths[i + 1]
-        return rising | falling
-
-    keep = (all_prefix & monotone([prefix_len[r] for r in rows])) | (
-        all_suffix & monotone([suffix_len[r] for r in rows])
-    )
-    return masks[keep]
+    prefix = [(1 << length) - 1 for length in range(width + 1)]
+    suffix = [row << (width - length) for length, row in enumerate(prefix)]
+    masks: set[int] = set()
+    for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
+        for order in (lengths, lengths[::-1]):
+            for rows in (prefix, suffix):
+                masks.add(sum(rows[length] << (r * width) for r, length in enumerate(order)))
+    return sorted(masks)
 
 
 def enumerate_by_subsets(grid: GridSpec, *,
                          scan: Optional[CandidateScan] = None) -> EnumerationResult:
     """Every subset of the lattice, kept iff it is a separable zero-set.
 
-    Ground truth by definition; capacity-limited to 2^SUBSET_POINT_CAP
-    subsets.  The stable/unstable tallies are read afterwards from a
-    candidate scan (classification is a statement about lines), ``scan``
-    if given; a subset function the candidate family misses would be a
-    family gap and raises CandidateFamilyError.
+    Ground truth by definition: the subsets that are not staircases are
+    not separable, and each staircase gets an exact hull test.  Grids of
+    more than SUBSET_POINT_CAP points raise CapacityError.  The
+    stable/unstable tallies are read afterwards from a candidate scan
+    (classification is a statement about lines), ``scan`` if given; a
+    subset function the candidate family misses would be a family gap and
+    raises CandidateFamilyError.
     """
     if grid.point_count > SUBSET_POINT_CAP:
         raise CapacityError(
@@ -243,17 +225,12 @@ def enumerate_by_subsets(grid: GridSpec, *,
         )
     pts = grid.points()
     total_bits = grid.point_count
-    full = (1 << total_bits) - 1
     kept: list[int] = []
-    for mask in _separable_candidates(grid).tolist():
-        if mask == 0 or mask == full:
-            kept.append(mask)
-            continue
+    for mask in _staircases(grid):
         zeros = [pts[i] for i in range(total_bits) if (mask >> i) & 1]
         ones = [pts[i] for i in range(total_bits) if not (mask >> i) & 1]
         if is_separable(zeros, ones):
             kept.append(mask)
-    kept.sort()
     if scan is None:
         scan = scan_candidates(grid)
     return _classified(grid, kept, "subsets", scan)
@@ -276,7 +253,11 @@ def enumerate_by_lines(grid: GridSpec, *,
 
 def _classified(grid: GridSpec, masks: list[int], method: Method,
                 scan: CandidateScan) -> EnumerationResult:
-    """The enumeration result of ``masks``, with F split by the scan."""
+    """The enumeration result of ``masks``, with F split by the scan.
+
+    Every mask must be in the scan: a missing one, in F or not, raises
+    CandidateFamilyError with its zero-set as witness.
+    """
     if scan.grid != grid:
         raise ValueError("candidate scan belongs to a different grid")
     full = (1 << grid.point_count) - 1
@@ -284,6 +265,9 @@ def _classified(grid: GridSpec, masks: list[int], method: Method,
     vertices: dict[int, Point] = {}
     for m in masks:
         if not (m & 1) or m == full:
+            if m not in scan.masks:
+                raise CandidateFamilyError(_witness(
+                    grid, m, f"candidate family missed a zero-set on grid ({grid.m}, {grid.n})"))
             continue
         kind = scan.classify(m)
         if kind.is_stable:

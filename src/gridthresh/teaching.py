@@ -110,6 +110,17 @@ def _check_member(f: ThresholdFn, universe: EnumerationResult) -> None:
         raise ValueError("function is not a member of the supplied universe")
 
 
+def _lexicographic(grid: GridSpec) -> tuple[list[Point], list[int]]:
+    """The points in lexicographic (x, y) order, with their row-major zero-set bits."""
+    points = sorted(grid.points())
+    return points, [1 << grid.bit_index(x, y) for x, y in points]
+
+
+def _forced(zeros: int, bits: list[int], members: frozenset[int]) -> list[int]:
+    """Indices of the bits whose flip turns f into another member."""
+    return [j for j, bit in enumerate(bits) if zeros ^ bit in members]
+
+
 class _Teacher:
     """Minimum teaching sets of the functions of one universe.
 
@@ -123,9 +134,8 @@ class _Teacher:
         grid = universe.grid
         self.scan = universe.scan
         self.masks = [f.zeros for f in universe.functions]
-        self.members = frozenset(self.masks)
-        self.points = sorted(grid.points())  # lexicographic (x, y)
-        self.bits = [1 << grid.bit_index(x, y) for x, y in self.points]
+        self.members = universe.masks
+        self.points, self.bits = _lexicographic(grid)
         # transpose through binary strings: string position k is bit P-1-k
         # of a mask, and string position i of a column is function i
         width = grid.point_count
@@ -134,12 +144,8 @@ class _Teacher:
         self.columns = [by_bit[grid.bit_index(x, y)] for x, y in self.points]
         self.everyone = (1 << len(self.masks)) - 1
 
-    def forced(self, zeros: int) -> list[int]:
-        """Indices of the points where flipping f gives another member."""
-        return [j for j, bit in enumerate(self.bits) if zeros ^ bit in self.members]
-
     def minimum(self, zeros: int) -> tuple[int, tuple[Point, ...]]:
-        forced = self.forced(zeros)
+        forced = _forced(zeros, self.bits, self.members)
         agree = self.everyone  # the members that agree with f on the forced set
         for j in forced:
             agree &= self.columns[j] if zeros & self.bits[j] else ~self.columns[j]
@@ -218,8 +224,8 @@ def forced_points(f: ThresholdFn, universe: EnumerationResult) -> tuple[Point, .
     Every teaching set of f contains them; in lexicographic order.
     """
     _check_member(f, universe)
-    teacher = _Teacher(universe)
-    return tuple(teacher.points[j] for j in teacher.forced(f.zeros))
+    points, bits = _lexicographic(f.grid)
+    return tuple(points[j] for j in _forced(f.zeros, bits, universe.masks))
 
 
 def predict_size(f: ThresholdFn, universe: EnumerationResult) -> int:

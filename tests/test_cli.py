@@ -156,6 +156,20 @@ def test_oracle_family_gap_exits_mismatch(capsys, monkeypatch):
     assert "candidate family missed" in err and "zeros=" in err
 
 
+def test_oracle_family_gap_outside_f_exits_mismatch(capsys, monkeypatch):
+    original = gridthresh.oracle.scan_candidates
+
+    def lossy(grid):
+        scan = original(grid)
+        victim = min(m for m in scan.masks if m and not m & 1)
+        return dataclasses.replace(scan, masks=scan.masks - {victim})
+
+    monkeypatch.setattr(gridthresh.oracle, "scan_candidates", lossy)
+    code, _, err = run(capsys, "oracle", "--m", "2", "--n", "2")
+    assert code == EXIT_MISMATCH
+    assert "candidate family missed" in err and "zeros=" in err
+
+
 def test_oracle_dump(capsys, tmp_path):
     path = tmp_path / "fns.txt"
     code, _, _ = run(capsys, "oracle", "--m", "1", "--n", "1", "--dump", str(path))

@@ -136,8 +136,9 @@ def test_lower_bound_small_range():
 
 def test_insufficient_sieve_raises():
     tiny = sieve(4)
-    with pytest.raises(ValueError):
-        count_total(GridSpec(100, 100), tiny)
+    for count in (count_total, count_unstable, breakdown):
+        with pytest.raises(ValueError):
+            count(GridSpec(100, 100), tiny)
 
 
 def test_grid_validation():

@@ -16,6 +16,7 @@ from gridthresh.oracle import (
     _hull,
     _point_in_hull,
     _segments_intersect,
+    _staircases,
     hulls_disjoint,
     is_separable,
 )
@@ -83,6 +84,27 @@ def test_subsets_3x3_grid():
     assert len(result) == 58
     assert result.stable_count == 21
     assert result.unstable_count == 7
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(12) for n in range(12)
+                                  if (m + 1) * (n + 1) <= 12])
+def test_staircases_hold_every_separable_dichotomy(m, n):
+    grid = GridSpec(m, n)
+    pts = grid.points()
+    staircases = _staircases(grid)
+    assert staircases == sorted(set(staircases))
+    generated = set(staircases)
+    for mask in range(1 << grid.point_count):
+        zeros = [p for i, p in enumerate(pts) if (mask >> i) & 1]
+        ones = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
+        if is_separable(zeros, ones):
+            assert mask in generated, mask
+
+
+def test_masks_are_built_once():
+    for result in (enumerate_by_subsets(GridSpec(1, 1)), enumerate_by_lines(GridSpec(1, 1))):
+        assert result.masks is result.masks
+        assert result.masks == frozenset(f.zeros for f in result.functions)
 
 
 def test_subsets_capacity_error():
