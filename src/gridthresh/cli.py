@@ -18,6 +18,7 @@ import time
 from typing import Optional, Sequence
 
 from . import __version__
+from .asymptotics import DEFAULT_ANISO_MS, DEFAULT_ANISO_NS, DEFAULT_SQUARE_KS
 from .asymptotics import reports_to_csv, residual_sweep
 from .counting import breakdown, count_p, count_p_sequence, count_total
 from .errors import CandidateFamilyError, CapacityError
@@ -194,18 +195,17 @@ def _cmd_teach(args: argparse.Namespace) -> int:
 
 
 def _cmd_asympt(args: argparse.Namespace) -> int:
-    if args.family == "square":
-        ks = tuple(k for k in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096) if k <= args.max_k)
+    ks: tuple[int, ...] = ()
+    if args.family != "anisotropic":
+        ks = tuple(k for k in DEFAULT_SQUARE_KS if k <= args.max_k)
         if not ks:
             raise UsageError("--max-k too small, no sample points")
-        tables = sieve(max(ks))
-        rows = residual_sweep(tables, square_ks=ks, aniso_ns=(), aniso_ms=())
-    elif args.family == "anisotropic":
-        tables = sieve(100_000)
-        rows = residual_sweep(tables, square_ks=())
-    else:
-        tables = sieve(100_000)
-        rows = residual_sweep(tables)
+    ns, ms = (DEFAULT_ANISO_NS, DEFAULT_ANISO_MS) if args.family != "square" else ((), ())
+    # the blocked kernels need kernel_sieve_limit at each pair, the
+    # anisotropic coefficients the totient sums up to n
+    pairs = [(k, k) for k in ks] + [(m, n) for n in ns for m in ms]
+    tables = sieve(max([kernel_sieve_limit(t, k) for t, k in pairs] + list(ns)))
+    rows = residual_sweep(tables, square_ks=ks, aniso_ns=ns, aniso_ms=ms)
     sys.stdout.write(reports_to_csv(rows))
     return EXIT_OK
 

@@ -6,7 +6,7 @@ class CapacityError(Exception):
 
     Raised instead of silently truncating or overflowing: subset enumeration
     past 20 points, candidate-line enumeration past the configured
-    grid cap, the teaching-set search past its point cap, and integer work
+    grid cap, the teaching-set census past its point cap, and integer work
     that would leave the checked int64 envelope of the vectorised fast
     paths.
     """
@@ -16,7 +16,9 @@ class CandidateFamilyError(AssertionError):
     """The candidate-line family failed to account for a separable zero-set.
 
     An internal fault of the candidate scan, not a usage error: a zero-set
-    the subset oracle or the teaching search classifies is missing from
-    the scan, or an unstable one lacks a unique vertex.  The message
-    carries the witness zero-set.
+    the subset oracle or the teaching rule classifies is missing from the
+    scan, an unstable one lacks a unique vertex, or the teaching
+    certificate fails: the forced points of a function do not single it
+    out of its universe, which on a complete universe they always do.
+    The message carries the witness zero-set.
     """

@@ -20,9 +20,18 @@ m, n); a defining line of an unstable function can be chosen with the
 mediant of the two adjacent stable directions at its vertex (components
 within 2m, 2n); the extra margin of one covers the axis cases.
 
+The half-step offsets add no zero-set but the empty one.  For a
+direction, the lattice points fall on levels v = a*x + b*y; the
+half-step line just above level v cuts off the same points as the
+through-line at v, and the one just below cuts off those of the
+through-line at the level under v, or none below the lowest level.
+Neither passes through a lattice point.  So scan_candidates walks each
+direction's levels upwards, OR-ing every level into a running zero-set,
+and records each running set once, plus the empty set.
+
 scan_candidates evaluates the family once per grid, and
 CandidateScan.classify is the one stable/unstable classifier: classify,
-both enumeration oracles and the teaching search all read it from a
+both enumeration oracles and the teaching-set rule all read it from a
 single scan.  The subset-separability oracle independently corroborates
 the family on every grid where both oracles run.
 """
@@ -32,8 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional
-
-import numpy as np
 
 from .errors import CandidateFamilyError
 from .grid import GridSpec, Point
@@ -246,37 +253,31 @@ def _witness(grid: GridSpec, mask: int, label: str) -> str:
 def scan_candidates(grid: GridSpec) -> CandidateScan:
     """Evaluate every candidate line, recording zero-sets and point counts.
 
-    Vectorised per direction: all offsets of one direction are evaluated
-    as a single boolean matrix and bit-packed.
+    Per direction, one cumulative OR over the levels a*x + b*y in
+    ascending order: the running set at a level is the zero-set of the
+    through-line there, stable when the level holds two or more points
+    and a pointed singleton of its point when it holds one.  The
+    half-step offsets repeat these sets or give the empty set, which
+    seeds the masks.
     """
     pts = grid.points()
-    xs = np.array([p[0] for p in pts], dtype=np.int64)
-    ys = np.array([p[1] for p in pts], dtype=np.int64)
-    masks: set[int] = set()
+    masks: set[int] = {0}
     stable: set[int] = set()
     singles: dict[int, set[Point]] = {}
     for dx, dy in candidate_directions(grid):
-        a, b = dy, -dx
-        vals = a * xs + b * ys
-        order = np.argsort(vals, kind="stable")
-        uniq, starts, counts = np.unique(vals[order], return_index=True, return_counts=True)
-        c2s: list[int] = []
-        on_counts: list[int] = []
-        on_single: list[int] = []
-        for v, start, c in zip(uniq.tolist(), starts.tolist(), counts.tolist()):
-            c2s.extend((-2 * v, -2 * v - 1, -2 * v + 1))
-            on_counts.extend((c, 0, 0))
-            on_single.extend((int(order[start]) if c == 1 else -1, -1, -1))
-        c2arr = np.array(c2s, dtype=np.int64)
-        below = (2 * vals[None, :] + c2arr[:, None]) <= 0
-        packed = np.packbits(below, axis=1, bitorder="little")
-        for row in range(len(c2s)):
-            key = int.from_bytes(packed[row].tobytes(), "little")
-            masks.add(key)
-            if on_counts[row] >= 2:
-                stable.add(key)
-            elif on_counts[row] == 1:
-                singles.setdefault(key, set()).add(pts[on_single[row]])
+        levels: dict[int, list[int]] = {}
+        for i, (x, y) in enumerate(pts):
+            levels.setdefault(dy * x - dx * y, []).append(i)
+        below = 0
+        for level in sorted(levels):
+            on = levels[level]
+            for i in on:
+                below |= 1 << i
+            masks.add(below)
+            if len(on) >= 2:
+                stable.add(below)
+            else:
+                singles.setdefault(below, set()).add(pts[on[0]])
     return CandidateScan(
         grid=grid,
         masks=frozenset(masks),

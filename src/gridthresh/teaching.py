@@ -17,26 +17,25 @@ the universe.  Only p tells those two apart, so every teaching set holds
 the forced set S.  min_teaching_set finds S with P set lookups and checks
 that no other function agrees with f on S, in one bit-parallel pass over
 the universe: an AND of one |universe|-bit column per point of S.  When
-none does, S is the unique minimum teaching set: O(P + |universe|) per
-function.  Otherwise a branching hitting-set search over the
-difference masks f ^ g takes over, with sizes ascending from |S| and
-subsets in lexicographic point order.  Either way the witness is the first
-minimum teaching set in lexicographic point order, so witnesses are
-reproducible.  Masks are exact Python ints at every grid size.  On the
-complete universe of every grid up to TEACH_POINT_CAP points the
-certificate alone has decided every function; the search serves
-incomplete universes.
+none does, S is the unique minimum teaching set, reported in
+lexicographic point order: O(P + |universe|) per function.  Masks are
+exact Python ints at every grid size.  On a complete universe the forced
+set singles out every function, as the uniqueness of minimal teaching
+sets of threshold functions leads one to expect (Shevchenko & Zolotykh,
+ALT 1998), and it has done so on every grid the census accepts.  A
+function it fails to single out is therefore a fault, of the universe or
+of the candidate family behind it, and raises CandidateFamilyError with
+f's zero-set as witness.
 
 The census compares every answer against the rule, surfacing
 disagreements instead of hiding them.  Constants fall outside the rule;
 their sizes are still computed and reported.
 
-The universe of a search is an EnumerationResult; the rule reads the
-stability of f and its complement from that result's candidate scan
-through CandidateScan.classify, so a census scans its grid once.  A census
-costs O(|universe| (P + |universe|)) and the search is exponential in P at
-worst, so grids above TEACH_POINT_CAP points are refused with
-CapacityError before anything is enumerated.
+The universe is an EnumerationResult; the rule reads the stability of f
+and its complement from that result's candidate scan through
+CandidateScan.classify, so a census scans its grid once.  A census costs
+O(|universe| (P + |universe|)), so grids above TEACH_POINT_CAP points are
+refused with CapacityError before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -46,15 +45,16 @@ import io
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapacityError
-from .geometry import CandidateScan, Point, ThresholdFn, complement_fn
+from .errors import CandidateFamilyError, CapacityError
+from .geometry import CandidateScan, Point, ThresholdFn, _witness, complement_fn
 from .geometry import classify, scan_candidates  # noqa: F401  (names perfbench/spans.py wraps)
 from .grid import GridSpec
 from .oracle import EnumerationResult, enumerate_by_lines
 
 # an 8 x 8 grid (81 points, 4082 functions, the most functions of any grid
-# within this cap and the line oracle's) takes about 0.9 s and 33 MB peak
-# RSS for `teach --check`; past the cap a census is refused before enumerating
+# within this cap and the line oracle's) takes about 0.25 s and 32 MB peak
+# RSS for `teach --check` (2 vCPUs, Python 3.11); past the cap a census is
+# refused before enumerating
 TEACH_POINT_CAP = 81
 
 
@@ -101,7 +101,7 @@ def _check_capacity(grid: GridSpec) -> None:
     if grid.point_count > TEACH_POINT_CAP:
         raise CapacityError(
             f"grid ({grid.m}, {grid.n}) has {grid.point_count} points; "
-            f"the teaching-set search is capped at {TEACH_POINT_CAP}"
+            f"the teaching-set census is capped at {TEACH_POINT_CAP}"
         )
 
 
@@ -131,18 +131,17 @@ class _Teacher:
     """
 
     def __init__(self, universe: EnumerationResult):
-        grid = universe.grid
+        grid = self.grid = universe.grid
         self.scan = universe.scan
-        self.masks = [f.zeros for f in universe.functions]
         self.members = universe.masks
         self.points, self.bits = _lexicographic(grid)
         # transpose through binary strings: string position k is bit P-1-k
         # of a mask, and string position i of a column is function i
         width = grid.point_count
-        rows = [format(mask, f"0{width}b") for mask in self.masks]
+        rows = [format(f.zeros, f"0{width}b") for f in universe.functions]
         by_bit = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
         self.columns = [by_bit[grid.bit_index(x, y)] for x, y in self.points]
-        self.everyone = (1 << len(self.masks)) - 1
+        self.everyone = (1 << len(rows)) - 1
 
     def minimum(self, zeros: int) -> tuple[int, tuple[Point, ...]]:
         forced = _forced(zeros, self.bits, self.members)
@@ -151,46 +150,12 @@ class _Teacher:
             agree &= self.columns[j] if zeros & self.bits[j] else ~self.columns[j]
         # every teaching set holds the forced points; if they alone tell f
         # (itself a member) from every other member, they are the only
-        # minimum teaching set
-        if agree.bit_count() == 1:
-            chosen = forced
-        else:
-            chosen = self._search(zeros, len(forced))
-        return len(chosen), tuple(self.points[j] for j in chosen)
-
-    def _search(self, zeros: int, lower: int) -> list[int]:
-        """Lexicographically first smallest set hitting every f ^ g, g != f.
-
-        Sizes ascend from ``lower``; within a size, points are chosen in
-        lexicographic order, and a branch stops as soon as some unhit
-        difference has no point left to choose (a skipped forced point is
-        such a difference).
-        """
-        bits = self.bits
-        count = len(bits)
-        tails = [0] * (count + 1)  # tails[j]: the bits of points j, j + 1, ...
-        for j in range(count - 1, -1, -1):
-            tails[j] = tails[j + 1] | bits[j]
-
-        def extend(start: int, chosen: list[int], unhit: list[int], room: int) -> Optional[list[int]]:
-            if not unhit:
-                return chosen + list(range(start, start + room))
-            if not room:
-                return None
-            for j in range(start, count - room + 1):
-                if any(not d & tails[j] for d in unhit):
-                    return None
-                found = extend(j + 1, chosen + [j], [d for d in unhit if not d & bits[j]], room - 1)
-                if found is not None:
-                    return found
-            return None
-
-        diffs = [g ^ zeros for g in self.masks if g != zeros]
-        for size in range(lower, count + 1):
-            found = extend(0, [], diffs, size)
-            if found is not None:
-                return found
-        raise AssertionError("the full lattice is always a teaching set")
+        # minimum teaching set; if not, the universe is at fault
+        if agree.bit_count() != 1:
+            raise CandidateFamilyError(_witness(
+                self.grid, zeros,
+                f"forced points fail to teach a function on grid ({self.grid.m}, {self.grid.n})"))
+        return len(forced), tuple(self.points[j] for j in forced)
 
 
 def _predict(f: ThresholdFn, scan: CandidateScan) -> int:

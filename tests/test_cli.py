@@ -295,6 +295,15 @@ def test_asympt_square_csv(capsys):
     assert len(lines) == 1 + 3 * 3   # three families at k = 16, 32, 64
 
 
+def test_asympt_max_k_bounds_the_square_rows_of_every_family(capsys):
+    code, out, _ = run(capsys, "asympt", "--max-k", "64")
+    assert code == EXIT_OK
+    rows = out.strip().split("\n")[1:]
+    square = [row for row in rows if row.split(",")[0] in ("umk", "vmk", "total_leading")]
+    assert sorted({int(row.split(",")[1].split()[0]) for row in square}) == [16, 32, 64]
+    assert len(rows) > len(square)   # the anisotropic rows are still there
+
+
 def test_bench(capsys):
     code, out, _ = run(capsys, "bench", "--k", "500", "--repeat", "1")
     assert code == EXIT_OK

@@ -19,7 +19,7 @@ from gridthresh import (
     zero_set,
 )
 from gridthresh.errors import CandidateFamilyError
-from gridthresh.geometry import scan_candidates
+from gridthresh.geometry import candidate_directions, scan_candidates
 
 from conftest import RANDOM_SEED
 
@@ -256,6 +256,33 @@ def test_scan_classify_reports_family_faults_with_witness():
     vertexless = dataclasses.replace(scan, pointed_singletons={})
     with pytest.raises(CandidateFamilyError, match="unique vertex.*zeros=1000"):
         vertexless.classify(corner)
+
+
+def scan_by_definition(grid):
+    """The candidate family evaluated line by line: every direction, every
+    level v of the lattice, and the offsets through it and half a step
+    either side."""
+    masks, stable, singles = set(), set(), {}
+    for dx, dy in candidate_directions(grid):
+        for v in {dy * x - dx * y for x, y in grid.points()}:
+            for c2 in (-2 * v, -2 * v - 1, -2 * v + 1):
+                line = Line(dy, -dx, c2)
+                mask = zero_set(line, grid)
+                masks.add(mask)
+                on = lattice_points_on(line, grid)
+                if len(on) >= 2:
+                    stable.add(mask)
+                elif len(on) == 1:
+                    singles.setdefault(mask, set()).add(on[0])
+    return masks, stable, {k: frozenset(v) for k, v in singles.items()}
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)]
+                         + [(0, n) for n in range(4, 8)] + [(m, 0) for m in range(4, 8)])
+def test_scan_equals_the_family_evaluated_by_definition(m, n):
+    grid = GridSpec(m, n)
+    scan = scan_candidates(grid)
+    assert (scan.masks, scan.stable_masks, scan.pointed_singletons) == scan_by_definition(grid)
 
 
 def test_every_nonconstant_mask_has_pointed_defining_candidate():

@@ -206,6 +206,15 @@ def test_cross_validate_degenerate_uses_geometric_path():
     assert report.all_match
 
 
+def test_cross_validate_rejects_results_of_another_grid():
+    small = GridSpec(1, 1)
+    with pytest.raises(ValueError, match="different grid"):
+        cross_validate(GridSpec(2, 2), TABLES, subsets=enumerate_by_subsets(small),
+                       lines=enumerate_by_lines(small))
+    with pytest.raises(ValueError, match="different grid"):
+        cross_validate(GridSpec(2, 2), TABLES, lines=enumerate_by_lines(small))
+
+
 def test_cross_validate_beyond_both_ranges():
     with pytest.raises(CapacityError):
         cross_validate(GridSpec(16, 16), TABLES)

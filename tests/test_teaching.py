@@ -7,7 +7,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import gridthresh.teaching
 from gridthresh import (
     GridSpec,
     ThresholdFn,
@@ -17,6 +16,7 @@ from gridthresh import (
     min_teaching_set,
     predict_size,
 )
+from gridthresh.errors import CandidateFamilyError
 
 from conftest import RANDOM_SEED
 
@@ -216,20 +216,12 @@ def thinned(universe, rng, share):
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (0, 5)])
-def test_fallback_search_equals_the_dense_judge_on_thinned_universes(universe, m, n, monkeypatch):
-    searches = []
-    original = gridthresh.teaching._Teacher._search
-
-    def counted(self, zeros, lower):
-        searches.append(zeros)
-        return original(self, zeros, lower)
-
-    monkeypatch.setattr(gridthresh.teaching._Teacher, "_search", counted)
+def test_certificate_failure_on_thinned_universes_is_a_family_fault(universe, m, n):
     rng = random.Random(RANDOM_SEED + 7 * m + n)
     full = universe(m, n)
     for share in (0.2, 0.5, 0.8):
-        assert_census_matches_judge(thinned(full, rng, share))
-    assert searches, "no thinned universe defeated the forced-point certificate"
+        with pytest.raises(CandidateFamilyError, match="zeros="):
+            census(full.grid, universe=thinned(full, rng, share))
 
 
 def test_census_rule_holds_on_every_grid_up_to_6x6(universe):
