@@ -5,7 +5,7 @@ class CapacityError(Exception):
     """An input is beyond the configured size bound of an exhaustive method.
 
     Raised instead of silently truncating or overflowing: subset enumeration
-    past 20 points, candidate-line enumeration past the configured
+    past 64 points, candidate-line enumeration past the configured
     grid cap, the teaching-set census past its point cap, and integer work
     that would leave the checked int64 envelope of the vectorised fast
     paths.

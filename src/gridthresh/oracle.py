@@ -32,6 +32,18 @@ staircase, all rows prefixes or all suffixes with monotone lengths, and
 _staircases lists those directly from the monotone length sequences: at
 most 4 C(m + n + 2, n + 1) of them (484 of the 2^20 subsets of a 4 x 3
 grid).  The hull test alone decides membership for the staircases.
+
+It runs once per symmetry orbit of staircases, not once per staircase.
+The four renderings of a length sequence L (as given or reversed, every
+row a prefix or every row a suffix) are the images of one another under
+x -> m - x and y -> n - y, affine bijections of the lattice that preserve
+hull disjointness.  The ones of the prefix rendering of L are a rendering
+of L' = reversed(m + 1 - L), so L' gets the same verdict, hull
+disjointness being symmetric in its two sides.  One hull test of a pair
+{L, L'} thus decides all of its (at most eight) staircases: about
+C(m + n + 2, n + 1) / 2 tests per grid, 66 for the 484 staircases of a
+4 x 3 grid.  Every verdict is still an exact integer hull test, of the
+staircase itself or of its image under a lattice symmetry.
 """
 
 from __future__ import annotations
@@ -46,10 +58,13 @@ from .geometry import CandidateScan, Point, ThresholdFn, _witness, scan_candidat
 from .grid import GridSpec
 from .numtheory import NTTables
 
-# the cap bounds hull tests, not memory: a grid of at most 20 points has at
-# most 484 staircases; cross_validate runs the subset oracle on every grid
-# within the cap, and past it the line oracle alone
-SUBSET_POINT_CAP = 20
+# the cap bounds hull tests, not memory: a grid has C(m + n + 2, n + 1)
+# length sequences and about half as many hull tests, most at 7 x 7 (12 870
+# sequences) within the cap, where cross_validate takes about 0.7 s and
+# `oracle --m 7 --n 7` about 0.9 s and 33 MB peak RSS (2 vCPUs, Python
+# 3.11); cross_validate runs the subset oracle on every grid within the cap,
+# and past it the line oracle alone
+SUBSET_POINT_CAP = 64
 # the scan grows with (4m + 3)(4n + 3) directions times (m + 1)(n + 1) points:
 # `oracle --method lines` on 15 x 15 takes about 1.1 s and 61 MB peak RSS
 # (2 vCPUs, Python 3.11); past the cap the line oracle is refused
@@ -190,22 +205,32 @@ def is_separable(zeros: list[Point], ones: list[Point]) -> bool:
 # subset enumeration
 
 
+def _renderings(lengths: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """The four staircases of a non-decreasing row-length sequence.
+
+    The sequence is taken as given and reversed (its image under
+    y -> n - y), and each is rendered with every row a prefix and with
+    every row a suffix (the image under x -> m - x).
+    """
+    masks = []
+    for order in (lengths, lengths[::-1]):
+        prefix = suffix = 0
+        for r, length in enumerate(order):
+            row = (1 << length) - 1
+            prefix |= row << (r * width)
+            suffix |= row << (r * width + width - length)
+        masks += (prefix, suffix)
+    return tuple(masks)
+
+
 def _staircases(grid: GridSpec) -> list[int]:
     """The zero-sets whose rows are all prefixes or all suffixes, with
-    monotone lengths, in ascending order.
-
-    Each non-decreasing sequence of row lengths, taken as given and
-    reversed, is rendered once with every row a prefix and once with every
-    row a suffix.
-    """
+    monotone lengths, in ascending order: the renderings of every
+    non-decreasing sequence of row lengths."""
     width = grid.m + 1
-    prefix = [(1 << length) - 1 for length in range(width + 1)]
-    suffix = [row << (width - length) for length, row in enumerate(prefix)]
     masks: set[int] = set()
     for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
-        for order in (lengths, lengths[::-1]):
-            for rows in (prefix, suffix):
-                masks.add(sum(rows[length] << (r * width) for r, length in enumerate(order)))
+        masks.update(_renderings(lengths, width))
     return sorted(masks)
 
 
@@ -214,8 +239,19 @@ def enumerate_by_subsets(grid: GridSpec, *,
     """Every subset of the lattice, kept iff it is a separable zero-set.
 
     Ground truth by definition: the subsets that are not staircases are
-    not separable, and each staircase gets an exact hull test.  Grids of
-    more than SUBSET_POINT_CAP points raise CapacityError.  The
+    not separable, and every staircase is decided by an exact hull test,
+    one per symmetry orbit.  For a non-decreasing length sequence L the
+    test splits the lattice into the prefix rendering of L (zeros) and
+    the rest (ones).  Its verdict holds for all four renderings of L,
+    since the reflections x -> m - x and y -> n - y that map them onto
+    one another are affine bijections of the lattice and preserve hull
+    disjointness.  It holds for the partner L' = reversed(w - L) too
+    (w = m + 1): the ones of prefix(L) are a rendering of L', and hull
+    disjointness is symmetric in its two sides.  The sequences come in
+    lexicographic order, so each pair is tested once, when its first
+    member comes up, and a separable pair keeps the renderings of both.
+
+    Grids of more than SUBSET_POINT_CAP points raise CapacityError.  The
     stable/unstable tallies are read afterwards from a candidate scan
     (classification is a statement about lines), ``scan`` if given; a
     subset function the candidate family misses would be a family gap and
@@ -226,17 +262,20 @@ def enumerate_by_subsets(grid: GridSpec, *,
             f"grid ({grid.m}, {grid.n}) has {grid.point_count} points; "
             f"subset enumeration is capped at {SUBSET_POINT_CAP}"
         )
-    pts = grid.points()
-    total_bits = grid.point_count
-    kept: list[int] = []
-    for mask in _staircases(grid):
-        zeros = [pts[i] for i in range(total_bits) if (mask >> i) & 1]
-        ones = [pts[i] for i in range(total_bits) if not (mask >> i) & 1]
+    width = grid.m + 1
+    kept: set[int] = set()
+    for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
+        partner = tuple(width - length for length in reversed(lengths))
+        if partner < lengths:
+            continue   # decided when the partner came up
+        zeros = [(x, y) for y, length in enumerate(lengths) for x in range(length)]
+        ones = [(x, y) for y, length in enumerate(lengths) for x in range(length, width)]
         if is_separable(zeros, ones):
-            kept.append(mask)
+            kept.update(_renderings(lengths, width))
+            kept.update(_renderings(partner, width))
     if scan is None:
         scan = scan_candidates(grid)
-    return _classified(grid, kept, "subsets", scan)
+    return _classified(grid, sorted(kept), "subsets", scan)
 
 
 def enumerate_by_lines(grid: GridSpec, *,

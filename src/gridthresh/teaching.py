@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import csv
 import io
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,6 +160,21 @@ class _Teacher:
         return len(forced), tuple(self.points[j] for j in forced)
 
 
+# one teacher per universe, built on first use: the columns cost
+# O(P |universe|), far more than one certificate; the universe is held
+# weakly, so an entry lives only as long as its universe
+_teachers: "weakref.WeakKeyDictionary[EnumerationResult, _Teacher]" = weakref.WeakKeyDictionary()
+_teachers_lock = threading.Lock()
+
+
+def _teacher(universe: EnumerationResult) -> _Teacher:
+    with _teachers_lock:
+        teacher = _teachers.get(universe)
+        if teacher is None:
+            teacher = _teachers[universe] = _Teacher(universe)
+        return teacher
+
+
 def _predict(f: ThresholdFn, scan: CandidateScan) -> int:
     if f.grid.is_degenerate:
         return 2
@@ -169,10 +186,14 @@ def _predict(f: ThresholdFn, scan: CandidateScan) -> int:
 
 
 def min_teaching_set(f: ThresholdFn, universe: EnumerationResult) -> TeachingReport:
-    """Minimum teaching set of f within the complete universe."""
+    """Minimum teaching set of f within the complete universe.
+
+    The universe's point columns are built on the first call (or census)
+    for it and reused by later ones, so each call costs one certificate.
+    """
     _check_member(f, universe)
     _check_capacity(f.grid)
-    return _report_for(f, _Teacher(universe))
+    return _report_for(f, _teacher(universe))
 
 
 def _report_for(f: ThresholdFn, teacher: _Teacher) -> TeachingReport:
@@ -215,6 +236,6 @@ def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> Cens
         universe = enumerate_by_lines(grid)
     elif universe.grid != grid:
         raise ValueError("universe was enumerated for a different grid")
-    teacher = _Teacher(universe)
+    teacher = _teacher(universe)
     reports = [_report_for(f, teacher) for f in universe.functions]
     return CensusResult(grid=grid, reports=reports)

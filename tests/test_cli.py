@@ -111,6 +111,25 @@ def test_oracle_lines_method(capsys):
     assert json.loads(out)["all_match"] is True
 
 
+def test_oracle_default_method_on_6x6_runs_both_oracles(capsys):
+    code, out, _ = run(capsys, "oracle", "--m", "6", "--n", "6")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["method"] == "both" and record["all_match"] is True
+    assert record["subset_total"] == record["lines_total"] == record["formula_total"] == "1498"
+
+
+def test_oracle_past_subset_cap_exits_capacity_before_scanning(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past the subset cap")
+
+    monkeypatch.setattr(gridthresh.oracle, "scan_candidates", refuse)
+    monkeypatch.setattr(gridthresh.oracle, "is_separable", refuse)
+    code, out, err = run(capsys, "oracle", "--m", "8", "--n", "8", "--method", "subsets")
+    assert code == EXIT_CAPACITY
+    assert out == "" and "capped at 64" in err
+
+
 def test_oracle_capacity_exit(capsys):
     code, _, err = run(capsys, "oracle", "--m", "10", "--n", "10", "--method", "subsets")
     assert code == EXIT_CAPACITY

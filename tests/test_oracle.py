@@ -1,7 +1,10 @@
 """Unit tests for the brute-force enumerations and cross-validation."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
+import gridthresh.oracle
 from gridthresh import (
     CapacityError,
     GridSpec,
@@ -12,7 +15,10 @@ from gridthresh import (
     enumerate_by_subsets,
     sieve,
 )
+from gridthresh.geometry import scan_candidates
 from gridthresh.oracle import (
+    SUBSET_POINT_CAP,
+    _classified,
     _hull,
     _point_in_hull,
     _segments_intersect,
@@ -99,6 +105,56 @@ def test_staircases_hold_every_separable_dichotomy(m, n):
         ones = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
         if is_separable(zeros, ones):
             assert mask in generated, mask
+
+
+def staircase_judge(grid):
+    """The subset oracle by definition: one exact hull test per staircase,
+    zeros and ones read from the mask bits."""
+    pts = grid.points()
+    kept = []
+    for mask in _staircases(grid):
+        zeros = [p for i, p in enumerate(pts) if (mask >> i) & 1]
+        ones = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
+        if is_separable(zeros, ones):
+            kept.append(mask)
+    return _classified(grid, kept, "subsets", scan_candidates(grid))
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(20) for n in range(20)
+                                  if (m + 1) * (n + 1) <= 20]
+                         + [(4, 4), (5, 4), (4, 5), (5, 5)])
+def test_orbit_hull_tests_equal_the_per_staircase_judge(m, n):
+    grid = GridSpec(m, n)
+    judge = staircase_judge(grid)
+    result = enumerate_by_subsets(grid)
+    assert [f.zeros for f in result.functions] == [f.zeros for f in judge.functions]
+    assert (result.stable_count, result.unstable_count) == (judge.stable_count,
+                                                            judge.unstable_count)
+    assert result.vertices == judge.vertices
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 3), (2, 2), (4, 3), (3, 5)])
+def test_one_hull_test_per_complement_pair_of_length_sequences(m, n, monkeypatch):
+    calls = []
+    original = gridthresh.oracle.is_separable
+
+    def counted(zeros, ones):
+        calls.append(len(zeros))
+        return original(zeros, ones)
+
+    monkeypatch.setattr(gridthresh.oracle, "is_separable", counted)
+    enumerate_by_subsets(GridSpec(m, n))
+    width = m + 1
+    pairs = {min(lengths, tuple(width - length for length in reversed(lengths)))
+             for lengths in combinations_with_replacement(range(width + 1), n + 1)}
+    assert len(calls) == len(pairs)
+
+
+def test_subsets_cap_admits_collinear_grids_up_to_the_cap():
+    assert SUBSET_POINT_CAP == 64
+    assert len(enumerate_by_subsets(GridSpec(0, 63))) == 128
+    with pytest.raises(CapacityError, match="capped at 64"):
+        enumerate_by_subsets(GridSpec(0, 64))
 
 
 def test_masks_are_built_once():
@@ -191,6 +247,23 @@ def test_cross_validate_small_grids_match():
         report = cross_validate(GridSpec(*spec), TABLES)
         assert report.all_match, spec
         assert report.witnesses == []
+
+
+def test_cross_validation_sweep_up_to_6x6():
+    # formulas' total and split, line oracle and subset oracle, on every
+    # grid with m, n <= 6, degenerate ones included
+    for m in range(7):
+        for n in range(7):
+            grid = GridSpec(m, n)
+            subsets = enumerate_by_subsets(grid)
+            lines = enumerate_by_lines(grid, scan=subsets.scan)
+            report = cross_validate(grid, TABLES, subsets=subsets, lines=lines)
+            assert report.all_match and report.witnesses == [], (m, n, report.witnesses)
+            assert report.subset_total == report.lines_total == report.formula_total, (m, n)
+            assert subsets.masks == lines.masks, (m, n)
+            split = (report.formula_stable, report.formula_unstable)
+            assert (subsets.stable_count, subsets.unstable_count) == split, (m, n)
+            assert (lines.stable_count, lines.unstable_count) == split, (m, n)
 
 
 def test_cross_validate_total_value():

@@ -1,12 +1,17 @@
 """Unit tests for minimum teaching sets and the 3/4 size rule."""
 
 import dataclasses
+import gc
 import random
+import sys
+import threading
+import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import gridthresh.teaching
 from gridthresh import (
     GridSpec,
     ThresholdFn,
@@ -131,6 +136,60 @@ def test_census_accepts_explicit_universe():
     enum = enumerate_by_lines(grid)
     result = census(grid, universe=enum)
     assert sum(result.histogram().values()) == 14
+
+
+def counted_teacher_builds(monkeypatch):
+    builds = []
+    original = gridthresh.teaching._Teacher.__init__
+
+    def counted(self, universe):
+        builds.append(universe.grid)
+        original(self, universe)
+
+    monkeypatch.setattr(gridthresh.teaching._Teacher, "__init__", counted)
+    return builds
+
+
+def test_min_teaching_set_builds_the_columns_once_per_universe(monkeypatch):
+    builds = counted_teacher_builds(monkeypatch)
+    enum = enumerate_by_lines(GridSpec(3, 2))
+    reports = [min_teaching_set(f, enum) for f in enum.functions]
+    assert reports == census(enum.grid, universe=enum).reports
+    assert len(builds) == 1
+    other = enumerate_by_lines(GridSpec(3, 2))   # equal, but another universe
+    assert min_teaching_set(other.functions[5], other) == reports[5]
+    assert len(builds) == 2
+    # the cache holds its universes weakly
+    alive = weakref.ref(enum)
+    del enum
+    gc.collect()
+    assert alive() is None
+
+
+def test_concurrent_first_calls_build_one_teacher(monkeypatch):
+    builds = counted_teacher_builds(monkeypatch)
+    enum = enumerate_by_lines(GridSpec(3, 3))
+    workers = 8
+    barrier = threading.Barrier(workers)
+    reports = [None] * workers
+
+    def work(i):
+        barrier.wait(timeout=10)
+        reports[i] = min_teaching_set(enum.functions[i], enum)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert reports == census(enum.grid, universe=enum).reports[:workers]
 
 
 def test_teaching_on_tiny_grids():
