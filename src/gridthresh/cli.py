@@ -26,6 +26,7 @@ from .grid import GridSpec
 from .numtheory import NTTables, kernel_sieve_limit, sieve, uv_square_sequence
 from .numtheory import u_mobius  # noqa: F401  (names perfbench/spans.py wraps)
 from .oracle import cross_validate, dump_functions, enumerate_by_lines, enumerate_by_subsets
+from .oracle import require_admitted
 from .teaching import census
 
 EXIT_OK = 0
@@ -112,13 +113,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = GridSpec(args.m, args.n)
     started = time.perf_counter()
-    # honour the requested method's capacity limits before sieving or
-    # validating; cross_validate reuses these results and runs any other
-    # oracle that fits, every oracle on the first one's candidate scan
-    subsets = enumerate_by_subsets(grid) if args.method in ("subsets", "both") else None
-    lines = None
-    if args.method in ("lines", "both"):
-        lines = enumerate_by_lines(grid, scan=subsets.scan if subsets is not None else None)
+    # refuse past a requested oracle's cap before any work; cross_validate
+    # reuses these results and runs any other oracle that fits, on one scan
+    methods = ("subsets", "lines") if args.method == "both" else (args.method,)
+    for method in methods:
+        require_admitted(method, grid)
+    subsets = enumerate_by_subsets(grid) if "subsets" in methods else None
+    scan = subsets.scan if subsets is not None else None
+    lines = enumerate_by_lines(grid, scan=scan) if "lines" in methods else None
     if args.dump:
         dump_functions(lines if lines is not None else subsets, args.dump)
     tables = sieve(kernel_sieve_limit(grid.m, grid.n))
@@ -285,10 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: building costs about 20 parses
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

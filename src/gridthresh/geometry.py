@@ -12,22 +12,23 @@ defining line passes through at least two lattice points; otherwise it is
 *unstable* and all its defining pointed lines share a single lattice
 point, the vertex.
 
-The candidate family consists of every line with a primitive direction
-(dx, dy), |dx| <= 2m+1, |dy| <= 2n+1, at every offset through a lattice
-point plus the half-step offsets on either side, in both orientations.
-Stable directions are differences of lattice points (components within
-m, n); a defining line of an unstable function can be chosen with the
-mediant of the two adjacent stable directions at its vertex (components
-within 2m, 2n); the extra margin of one covers the axis cases.
+The candidate family comes from the lines through two lattice points
+(Koplowitz, Lindenbaum & Bruckstein, IEEE Trans. Inf. Theory 36, 1990;
+Acketa & Zunic, Inf. Process. Lett. 38, 1991).  Translate a defining
+line towards the zeros until it meets a zero r, then rotate it about r
+until it meets a second lattice point.  No point crosses it on the way:
+the points of the final line on one side of r come from the closed side,
+those on the other from the open side, so its zeros run from r to one
+end of its points.  A run of all of them is the line's own zero-set, a
+stable function; a proper run ending at r is the zero-set of the line
+turned slightly about r, through r alone: a pointed line at r.
 
-The half-step offsets add no zero-set but the empty one.  For a
-direction, the lattice points fall on levels v = a*x + b*y; the
-half-step line just above level v cuts off the same points as the
-through-line at v, and the one just below cuts off those of the
-through-line at the level under v, or none below the lowest level.
-Neither passes through a lattice point.  So scan_candidates walks each
-direction's levels upwards, OR-ing every level into a running zero-set,
-and records each running set once, plus the empty set.
+So scan_candidates takes the primitive directions (dx, dy), |dx| <= m,
+|dy| <= n, antipodes giving both orientations, and ORs the levels
+dy*x - dx*y into a running zero-set in ascending order.  At a level of
+k >= 2 points the running set is stable, and the set before the level
+plus the level's first or last j points (1 <= j < k) is pointed at the
+j-th of them.  Unstable functions have only pointed lines, at the vertex.
 
 scan_candidates evaluates the family once per grid, and
 CandidateScan.classify is the one stable/unstable classifier: classify,
@@ -165,12 +166,7 @@ def equivalent(l1: Line, l2: Line, grid: GridSpec) -> bool:
 
 
 def lattice_points_on(line: Line, grid: GridSpec) -> list[Point]:
-    """Grid points lying exactly on the line, sorted lexicographically.
-
-    Always empty for half-step lines (odd c2).
-    """
-    if line.c2 % 2 != 0:
-        return []
+    """Grid points exactly on the line, sorted lexicographically; none if c2 is odd."""
     pts = [(x, y) for x, y in grid.points() if line.eval2(x, y) == 0]
     pts.sort()
     return pts
@@ -189,15 +185,12 @@ def complement_fn(f: ThresholdFn) -> ThresholdFn:
 
 
 def candidate_directions(grid: GridSpec) -> Iterator[tuple[int, int]]:
-    """All primitive directions (dx, dy), |dx| <= 2m+1, |dy| <= 2n+1.
-
-    Antipodal directions are both produced, which yields both orientations
-    of every candidate line downstream.
-    """
-    bx, by = 2 * grid.m + 1, 2 * grid.n + 1
-    for dx in range(-bx, bx + 1):
-        for dy in range(-by, by + 1):
-            if (dx, dy) != (0, 0) and math.gcd(abs(dx), abs(dy)) == 1:
+    """The primitive directions (dx, dy), |dx| <= m, |dy| <= n, of the
+    lines through two lattice points, antipodes included for both
+    orientations downstream."""
+    for dx in range(-grid.m, grid.m + 1):
+        for dy in range(-grid.n, grid.n + 1):
+            if math.gcd(dx, dy) == 1:
                 yield dx, dy
 
 
@@ -206,8 +199,8 @@ class CandidateScan:
     """Digest of one pass over the candidate family of a grid.
 
     masks              every distinct zero bit-set realized
-    stable_masks       masks defined by some candidate through >= 2 points
-    pointed_singletons mask -> lattice points of its one-point defining lines
+    stable_masks       masks defined by some line through >= 2 lattice points
+    pointed_singletons mask -> the points its pointed candidates turn about
     """
 
     grid: GridSpec
@@ -222,11 +215,10 @@ class CandidateScan:
         defines it.  Otherwise unstable, and the defining pointed candidates
         all pass through one point, the vertex.
 
-        On a degenerate grid every non-constant function counts as stable: its
-        zeros are an anchored run of the single lattice row or column, which
-        is the limit of rotating the carrier line (through all the points)
-        about the boundary point of the run, so the function is pinned by two
-        lattice points in the limit sense the singular-line convention uses.
+        On a degenerate grid every non-constant function counts as stable, by
+        the singular-line convention: its zeros are a run from one end of the
+        carrier line, pinned by two lattice points in the limit of turning
+        the carrier about the run's last point.
 
         A zero-set the family misses, or an unstable one without a unique
         vertex, is a fault of the family and raises CandidateFamilyError
@@ -251,17 +243,10 @@ def _witness(grid: GridSpec, mask: int, label: str) -> str:
 
 
 def scan_candidates(grid: GridSpec) -> CandidateScan:
-    """Evaluate every candidate line, recording zero-sets and point counts.
-
-    Per direction, one cumulative OR over the levels a*x + b*y in
-    ascending order: the running set at a level is the zero-set of the
-    through-line there, stable when the level holds two or more points
-    and a pointed singleton of its point when it holds one.  The
-    half-step offsets repeat these sets or give the empty set, which
-    seeds the masks.
-    """
+    """Evaluate every candidate line, recording zero-sets and point counts,
+    as the module docstring sets out.  The two constants are seeded, since
+    0 x 0 has no direction."""
     pts = grid.points()
-    masks: set[int] = {0}
     stable: set[int] = set()
     singles: dict[int, set[Point]] = {}
     for dx, dy in candidate_directions(grid):
@@ -270,20 +255,19 @@ def scan_candidates(grid: GridSpec) -> CandidateScan:
             levels.setdefault(dy * x - dx * y, []).append(i)
         below = 0
         for level in sorted(levels):
-            on = levels[level]
-            for i in on:
-                below |= 1 << i
-            masks.add(below)
+            on = levels[level]   # in row-major order (y, then x): along the line
+            first = last = below
+            for j in range(len(on) - 1):
+                first |= 1 << on[j]
+                last |= 1 << on[-1 - j]
+                singles.setdefault(first, set()).add(pts[on[j]])
+                singles.setdefault(last, set()).add(pts[on[-1 - j]])
+            below = first | 1 << on[-1]
             if len(on) >= 2:
                 stable.add(below)
-            else:
-                singles.setdefault(below, set()).add(pts[on[0]])
-    return CandidateScan(
-        grid=grid,
-        masks=frozenset(masks),
-        stable_masks=frozenset(stable),
-        pointed_singletons={k: frozenset(v) for k, v in singles.items()},
-    )
+    masks = stable.union(singles, (0, (1 << len(pts)) - 1))
+    return CandidateScan(grid, frozenset(masks), frozenset(stable),
+                         {k: frozenset(v) for k, v in singles.items()})
 
 
 def classify(f: ThresholdFn, scan: Optional[CandidateScan] = None) -> StabilityClass:

@@ -65,12 +65,29 @@ from .numtheory import NTTables
 # 3.11); cross_validate runs the subset oracle on every grid within the cap,
 # and past it the line oracle alone
 SUBSET_POINT_CAP = 64
-# the scan grows with (4m + 3)(4n + 3) directions times (m + 1)(n + 1) points:
-# `oracle --method lines` on 15 x 15 takes about 1.1 s and 61 MB peak RSS
-# (2 vCPUs, Python 3.11); past the cap the line oracle is refused
-LINES_EXTENT_CAP = 15
+# the scan grows with (2m + 1)(2n + 1) directions times (m + 1)(n + 1) points:
+# cross_validate takes about 2.0 s and 125 MB peak RSS on 20 x 20, 4.7 s and
+# 266 MB on 25 x 25 (2 vCPUs, Python 3.11); past the cap the line oracle is refused
+LINES_EXTENT_CAP = 20
 
 Method = Literal["subsets", "lines"]
+
+
+def admits(method: Method, grid: GridSpec) -> bool:
+    """Whether the oracle ``method`` runs on ``grid`` within its cap."""
+    if method == "subsets":
+        return grid.point_count <= SUBSET_POINT_CAP
+    return max(grid.m, grid.n) <= LINES_EXTENT_CAP
+
+
+def require_admitted(method: Method, grid: GridSpec) -> None:
+    """Raise CapacityError unless the oracle ``method`` admits ``grid``."""
+    if method == "subsets" and not admits(method, grid):
+        raise CapacityError(f"grid ({grid.m}, {grid.n}) has {grid.point_count} points; "
+                            f"subset enumeration is capped at {SUBSET_POINT_CAP}")
+    if method == "lines" and not admits(method, grid):
+        raise CapacityError(f"grid ({grid.m}, {grid.n}) exceeds the line-enumeration cap "
+                            f"of {LINES_EXTENT_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,11 +274,7 @@ def enumerate_by_subsets(grid: GridSpec, *,
     subset function the candidate family misses would be a family gap and
     raises CandidateFamilyError.
     """
-    if grid.point_count > SUBSET_POINT_CAP:
-        raise CapacityError(
-            f"grid ({grid.m}, {grid.n}) has {grid.point_count} points; "
-            f"subset enumeration is capped at {SUBSET_POINT_CAP}"
-        )
+    require_admitted("subsets", grid)
     width = grid.m + 1
     kept: set[int] = set()
     for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
@@ -284,10 +297,7 @@ def enumerate_by_lines(grid: GridSpec, *,
 
     ``scan``, if given, is the grid's candidate scan and is not redone.
     """
-    if max(grid.m, grid.n) > LINES_EXTENT_CAP:
-        raise CapacityError(
-            f"grid ({grid.m}, {grid.n}) exceeds the line-enumeration cap of {LINES_EXTENT_CAP}"
-        )
+    require_admitted("lines", grid)
     if scan is None:
         scan = scan_candidates(grid)
     return _classified(grid, sorted(scan.masks), "lines", scan)
@@ -371,9 +381,9 @@ def cross_validate(grid: GridSpec, tables: NTTables, *,
     """
     if any(r is not None and r.grid != grid for r in (subsets, lines)):
         raise ValueError("oracle result was enumerated for a different grid")
-    if subsets is None and grid.point_count <= SUBSET_POINT_CAP:
+    if subsets is None and admits("subsets", grid):
         subsets = enumerate_by_subsets(grid, scan=lines.scan if lines is not None else None)
-    if lines is None and max(grid.m, grid.n) <= LINES_EXTENT_CAP:
+    if lines is None and admits("lines", grid):
         lines = enumerate_by_lines(grid, scan=subsets.scan if subsets is not None else None)
     if subsets is None and lines is None:
         raise CapacityError(f"grid ({grid.m}, {grid.n}) is beyond both oracle ranges")

@@ -1,7 +1,12 @@
 """CLI contract tests: outputs, formats, exit codes."""
 
+import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +133,20 @@ def test_oracle_past_subset_cap_exits_capacity_before_scanning(capsys, monkeypat
     code, out, err = run(capsys, "oracle", "--m", "8", "--n", "8", "--method", "subsets")
     assert code == EXIT_CAPACITY
     assert out == "" and "capped at 64" in err
+
+
+def test_oracle_refuses_every_requested_method_before_enumerating(capsys, monkeypatch):
+    # 0 x 40 is within the subset cap and past the line cap; the default
+    # method asks for both oracles, so it is refused before either runs
+    def refuse(*args):
+        raise AssertionError("enumerated or sieved before the capacity check")
+
+    monkeypatch.setattr(gridthresh.oracle, "scan_candidates", refuse)
+    monkeypatch.setattr(gridthresh.oracle, "is_separable", refuse)
+    monkeypatch.setattr(gridthresh.cli, "sieve", refuse)
+    code, out, err = run(capsys, "oracle", "--m", "0", "--n", "40")
+    assert code == EXIT_CAPACITY
+    assert out == "" and "line-enumeration cap" in err
 
 
 def test_oracle_capacity_exit(capsys):
@@ -408,3 +427,34 @@ def test_oeis_builds_only_the_totient_table(capsys, monkeypatch):
     assert len(built) == 3
     for tables in built:
         assert set(tables._totients) == {"phi"} and not tables._sieved
+
+
+def test_main_builds_no_parser_after_import(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "count", "--k", "5")[0] == EXIT_OK
+    assert run(capsys, "oracle", "--m", "1", "--n", "1")[0] == EXIT_OK
+    assert built == []
+
+
+def test_calls_in_one_process_print_what_a_first_call_prints(capsys):
+    # the parser is shared by every main call: each call must print what it
+    # prints as the first call of a fresh process
+    calls = [("count", "--k", "5"), ("count", "--m", "2", "--n", "3", "--breakdown"),
+             ("oracle", "--m", "1", "--n", "1")]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        first = subprocess.run([sys.executable, "-m", "gridthresh", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, err) == (first.returncode, first.stderr) == (EXIT_OK, "")
+        record, fresh = json.loads(out), json.loads(first.stdout)
+        assert record.pop("elapsed_ms") >= 0 and fresh.pop("elapsed_ms") >= 0
+        assert record == fresh

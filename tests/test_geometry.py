@@ -1,6 +1,7 @@
 """Unit tests for lines, zero-sets, and stability classification."""
 
 import dataclasses
+import math
 import random
 from itertools import permutations
 
@@ -19,7 +20,7 @@ from gridthresh import (
     zero_set,
 )
 from gridthresh.errors import CandidateFamilyError
-from gridthresh.geometry import candidate_directions, scan_candidates
+from gridthresh.geometry import scan_candidates
 
 from conftest import RANDOM_SEED
 
@@ -259,21 +260,30 @@ def test_scan_classify_reports_family_faults_with_witness():
 
 
 def scan_by_definition(grid):
-    """The candidate family evaluated line by line: every direction, every
-    level v of the lattice, and the offsets through it and half a step
-    either side."""
-    masks, stable, singles = set(), set(), {}
-    for dx, dy in candidate_directions(grid):
-        for v in {dy * x - dx * y for x, y in grid.points()}:
-            for c2 in (-2 * v, -2 * v - 1, -2 * v + 1):
-                line = Line(dy, -dx, c2)
-                mask = zero_set(line, grid)
+    """The candidate family evaluated line by line: every line through two
+    lattice points, in both orientations, and at each lattice point r on it
+    the two lines through r alone turned either way.  A turned line has
+    direction K d +- d_perp, K = m^2 + n^2 + 1, so every point off the line
+    keeps its side; it counts when it moves one of the line's points to the
+    open side."""
+    full = (1 << grid.point_count) - 1
+    masks, stable, singles = {0, full}, set(), {}
+    k = grid.m ** 2 + grid.n ** 2 + 1
+    for line in {Line.through(p, q) for p, q in permutations(grid.points(), 2)}:
+        below = zero_set(line, grid)
+        masks.add(below)
+        stable.add(below)
+        a, b = line.a2, line.b2   # the normal; the direction is (-b, a)
+        for rx, ry in lattice_points_on(line, grid):
+            for sign in (1, -1):
+                ta, tb = k * a - sign * b, k * b + sign * a
+                turned = Line(ta, tb, -2 * (ta * rx + tb * ry))
+                assert lattice_points_on(turned, grid) == [(rx, ry)]
+                mask = zero_set(turned, grid)
+                if mask & below == below:
+                    continue   # every point of the line stayed on the closed side
                 masks.add(mask)
-                on = lattice_points_on(line, grid)
-                if len(on) >= 2:
-                    stable.add(mask)
-                elif len(on) == 1:
-                    singles.setdefault(mask, set()).add(on[0])
+                singles.setdefault(mask, set()).add((rx, ry))
     return masks, stable, {k: frozenset(v) for k, v in singles.items()}
 
 
@@ -283,6 +293,55 @@ def test_scan_equals_the_family_evaluated_by_definition(m, n):
     grid = GridSpec(m, n)
     scan = scan_candidates(grid)
     assert (scan.masks, scan.stable_masks, scan.pointed_singletons) == scan_by_definition(grid)
+
+
+def doubled_box_directions(grid):
+    """All primitive directions (dx, dy), |dx| <= 2m+1, |dy| <= 2n+1."""
+    bx, by = 2 * grid.m + 1, 2 * grid.n + 1
+    for dx in range(-bx, bx + 1):
+        for dy in range(-by, by + 1):
+            if (dx, dy) != (0, 0) and math.gcd(abs(dx), abs(dy)) == 1:
+                yield dx, dy
+
+
+def scan_doubled_box(grid):
+    """An independent family: every direction of the doubled box, each
+    level's running set recorded, stable at a level of two or more points
+    and pointed at the point of a one-point level.  It reaches an unstable
+    function through the mediant of the two stable directions adjacent at
+    its vertex (components within 2m, 2n, plus one for the axis cases)."""
+    pts = grid.points()
+    masks: set[int] = {0}
+    stable: set[int] = set()
+    singles: dict[int, set] = {}
+    for dx, dy in doubled_box_directions(grid):
+        levels: dict[int, list[int]] = {}
+        for i, (x, y) in enumerate(pts):
+            levels.setdefault(dy * x - dx * y, []).append(i)
+        below = 0
+        for level in sorted(levels):
+            on = levels[level]
+            for i in on:
+                below |= 1 << i
+            masks.add(below)
+            if len(on) >= 2:
+                stable.add(below)
+            else:
+                singles.setdefault(below, set()).add(pts[on[0]])
+    return masks, stable, singles
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(9) for n in range(9)]
+                         + [(12, 12), (15, 7), (15, 15)])
+def test_scan_equals_the_doubled_box_family(m, n):
+    grid = GridSpec(m, n)
+    scan = scan_candidates(grid)
+    masks, stable, singles = scan_doubled_box(grid)
+    assert scan.masks == masks and scan.stable_masks == stable
+    full = (1 << grid.point_count) - 1
+    for mask in masks - stable - {0, full}:
+        assert scan.pointed_singletons[mask] == singles[mask], bin(mask)
+        assert len(singles[mask]) == 1, bin(mask)
 
 
 def test_every_nonconstant_mask_has_pointed_defining_candidate():

@@ -17,6 +17,7 @@ from gridthresh import (
 )
 from gridthresh.geometry import scan_candidates
 from gridthresh.oracle import (
+    LINES_EXTENT_CAP,
     SUBSET_POINT_CAP,
     _classified,
     _hull,
@@ -198,7 +199,7 @@ def test_lines_single_point_grid():
 
 def test_lines_capacity_error():
     with pytest.raises(CapacityError):
-        enumerate_by_lines(GridSpec(16, 2))
+        enumerate_by_lines(GridSpec(LINES_EXTENT_CAP + 1, 2))
 
 
 def test_lines_at_the_extent_cap_matches_formula():
@@ -209,6 +210,15 @@ def test_lines_at_the_extent_cap_matches_formula():
     b = breakdown(grid, TABLES)
     assert len(enum) == b.total == 40150
     assert (enum.stable_count, enum.unstable_count) == (b.stable, b.unstable)
+
+
+def test_cross_validate_on_the_line_cap_square():
+    # formulas, split and line oracle against each other, past the subset cap
+    assert LINES_EXTENT_CAP == 20
+    grid = GridSpec(LINES_EXTENT_CAP, LINES_EXTENT_CAP)
+    report = cross_validate(grid, sieve(LINES_EXTENT_CAP))
+    assert report.subset_total is None
+    assert report.all_match, report.witnesses
 
 
 def test_oracles_agree_on_function_sets():
@@ -290,7 +300,7 @@ def test_cross_validate_rejects_results_of_another_grid():
 
 def test_cross_validate_beyond_both_ranges():
     with pytest.raises(CapacityError):
-        cross_validate(GridSpec(16, 16), TABLES)
+        cross_validate(GridSpec(LINES_EXTENT_CAP + 1, LINES_EXTENT_CAP + 1), TABLES)
 
 
 # -- dump ----------------------------------------------------------------------
