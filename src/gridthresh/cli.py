@@ -2,20 +2,24 @@
 
 Subcommands: count, oracle, oeis, teach, asympt, bench.  Big integers are
 always rendered as exact decimal strings.  Exit codes: 0 success (and all
-checks matched), 1 usage error, 2 capacity error, 3 validation mismatch
-(a formula or oracle disagreement, or a gap in the candidate-line family
-found by `oracle` or `teach`; the witness goes to stderr).
+checks matched), 1 usage error (bad arguments, or an output path that
+cannot be written), 2 capacity error, 3 validation mismatch (a formula or
+oracle disagreement, or a gap in the candidate-line family found by
+`oracle` or `teach`; the witness goes to stderr), 4 internal error (any
+other exception the library raises, a fault of the library and not of
+the request, reported on one line).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .asymptotics import DEFAULT_ANISO_MS, DEFAULT_ANISO_NS, DEFAULT_SQUARE_KS
@@ -33,13 +37,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPACITY = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 OEIS_SEQUENCES = ("A114146", "A114043", "A018805")
 # the totient table and the output grow with --count; past 10^6 terms the
 # request is refused before either is allocated
 OEIS_COUNT_CAP = 10**6
 # count and bench sieve to kernel_sieve_limit(m, n), about 8 max(m, n)^(2/3)
-# but at most min(m, n); at this side a request takes about 5 s and 650 MB
+# but at most min(m, n); at this side a request takes about 4 s and 625 MB
 # (a 5e9 square with --breakdown; skewed grids cost less), and past it
 # (or past k - 1 = cap) the request is refused before anything is sieved
 COUNT_SIDE_CAP = 5 * 10**9
@@ -69,6 +74,21 @@ def _emit(record: dict, fmt: str) -> None:
         sys.stdout.write(out.getvalue())
 
 
+def _grid(m: int, n: int) -> GridSpec:
+    if m < 0 or n < 0:
+        raise UsageError(f"grid extents must be non-negative, got ({m}, {n})")
+    return GridSpec(m, n)
+
+
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Report an output path that cannot be written as a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _check_side_cap(grid: GridSpec) -> None:
     if max(grid.m, grid.n) > COUNT_SIDE_CAP:
         raise CapacityError(
@@ -86,7 +106,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         if args.m is None or args.n is None:
             raise UsageError("give both --m and --n")
-        grid = GridSpec(args.m, args.n)
+        grid = _grid(args.m, args.n)
     _check_side_cap(grid)
     tables = sieve(kernel_sieve_limit(grid.m, grid.n))
     record: dict = {
@@ -111,7 +131,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    grid = GridSpec(args.m, args.n)
+    grid = _grid(args.m, args.n)
     started = time.perf_counter()
     # refuse past a requested oracle's cap before any work; cross_validate
     # reuses these results and runs any other oracle that fits, on one scan
@@ -122,7 +142,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     scan = subsets.scan if subsets is not None else None
     lines = enumerate_by_lines(grid, scan=scan) if "lines" in methods else None
     if args.dump:
-        dump_functions(lines if lines is not None else subsets, args.dump)
+        with _writing(args.dump):
+            dump_functions(lines if lines is not None else subsets, args.dump)
     tables = sieve(kernel_sieve_limit(grid.m, grid.n))
     report = cross_validate(grid, tables, subsets=subsets, lines=lines)
     record = {
@@ -162,7 +183,7 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
             values = [p // 2 for p in values]
     text = "".join(f"{k} {value}\n" for k, value in enumerate(values, start=1))
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
+        with _writing(args.output), open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -170,7 +191,7 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
 
 
 def _cmd_teach(args: argparse.Namespace) -> int:
-    grid = GridSpec(args.m, args.n)
+    grid = _grid(args.m, args.n)
     result = census(grid)
     if args.format == "json":
         record = {
@@ -297,15 +318,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except CandidateFamilyError as exc:
         print(f"validation mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except Exception as exc:  # user input is checked above, so this is a library fault
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -36,8 +36,11 @@ prefix sums over mu up to the sieve limit, and above it from the Dirichlet
 identity sum_{d<=x} d^j M_j(x // d) = 1, memoised per NTTables (Deleglise &
 Rivat, Exp. Math. 1996).  So the blocked kernels need a sieve only to
 kernel_sieve_limit(t, k) = min(D, ceil(8 K^(2/3))), with D and K the
-shorter and longer ceil argument, not to D.  Their block sums run in
-Python ints, or in int64 where a bound checked in code proves that exact.
+shorter and longer ceil argument, not to D.  Their block sums run on
+uint64 arrays, once mod 2^64 and once mod each of as many 32-bit primes
+as a proven bound on the sum needs, and the Chinese remainder theorem
+joins the residues into the exact integer; a bound below 2^63 needs the
+2^64 pass alone.  No object array is built on the way.
 
 The square sequence serves whole OEIS b-files.  With C_j, S_j and Q_j the
 count, sum of i and sum of i*j over coprime pairs (i, j) in [1, j]^2,
@@ -50,6 +53,7 @@ whole sequence costs one pass over phi instead of one Moebius sum per term.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -77,6 +81,16 @@ KERNEL_SIEVE_C = 8
 # int64 arithmetic is used only where a checked bound keeps every value
 # below this; past it the same expression runs on Python ints
 _INT64_SAFE = 2**62
+
+# The block sums run once mod 2^64 and then once mod each of these primes,
+# the six largest below 2^32, as far as their bound needs.  _CRT_MODULI[c]
+# is 2^64 times the first c of them; 2^64 times all six exceeds 2^255,
+# above twice the bound of any block sum whose arguments fit int64.
+_WRAP = 2**64
+_RESIDUE_PRIMES = (4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161)
+_CRT_MODULI = tuple(_WRAP * math.prod(_RESIDUE_PRIMES[:c])
+                    for c in range(len(_RESIDUE_PRIMES) + 1))
+_HALF_MODULI = tuple(modulus // 2 for modulus in _CRT_MODULI)
 
 
 @dataclass(frozen=True, order=True)
@@ -357,10 +371,12 @@ def u_mobius(t: int, k: int, tables: NTTables) -> int:
 
 
 def _v_prepare(t: HalfIntLike, k: HalfIntLike) -> tuple[int, int, int, int]:
-    th, kh = HalfInt.coerce(t), HalfInt.coerce(k)
-    if th.doubled < -2 or kh.doubled < -2:
-        raise ValueError(f"V arguments must be >= -1, got ({th.value}, {kh.value})")
-    return th.doubled, kh.doubled, th.ceil, kh.ceil
+    # doubled arguments and their ceilings; ints skip building a HalfInt
+    T = 2 * t if type(t) is int else HalfInt.coerce(t).doubled
+    K = 2 * k if type(k) is int else HalfInt.coerce(k).doubled
+    if T < -2 or K < -2:
+        raise ValueError(f"V arguments must be >= -1, got ({Fraction(T, 2)}, {Fraction(K, 2)})")
+    return T, K, -(-T // 2), -(-K // 2)
 
 
 def v_naive(t: HalfIntLike, k: HalfIntLike) -> QuarterInt:
@@ -591,22 +607,6 @@ def _mertens_recurse(x: int, prefix: np.ndarray,
     return sums[0], sums[1], sums[2]
 
 
-def _mertens_at(xs: np.ndarray, tables: NTTables) -> np.ndarray:
-    """Rows M_0, M_1, M_2 at ascending xs, from the prefix and the memoised recursion.
-
-    The xs above the prefix must be closed under x -> x // q (block ends
-    and hierarchies are).  int64 when every x is in the prefix, otherwise
-    Python ints.
-    """
-    prefix = tables.mertens_prefix
-    top = prefix.shape[1] - 1
-    if xs[-1] <= top:
-        return prefix[:, xs]
-    split = int(np.searchsorted(xs, top, side="right"))
-    high = np.array(tables._mertens_above(xs[split:].tolist()), dtype=object).T
-    return np.concatenate((prefix[:, xs[:split]].astype(object), high), axis=1)
-
-
 def weighted_mertens(x: int, tables: NTTables) -> tuple[int, int, int]:
     """(M_0(x), M_1(x), M_2(x)) with M_j(x) = sum_{d<=x} d^j mu(d), exact.
 
@@ -615,13 +615,18 @@ def weighted_mertens(x: int, tables: NTTables) -> tuple[int, int, int]:
     """
     if x < 0:
         raise ValueError(f"M_j is defined for x >= 0, got {x}")
-    top = tables.mertens_prefix.shape[1] - 1
-    hierarchy = np.unique(x // np.arange(1, max(1, x // (top + 1)) + 1, dtype=np.int64))
-    m0, m1, m2 = _mertens_at(hierarchy, tables)[:, -1]
-    return int(m0), int(m1), int(m2)
+    prefix = tables.mertens_prefix
+    top = prefix.shape[1] - 1
+    if x <= top:
+        m0, m1, m2 = prefix[:, x].tolist()
+        return m0, m1, m2
+    # the hierarchy x // q above the prefix, closed under x -> x // q
+    hierarchy = np.unique(x // np.arange(1, x // (top + 1) + 1, dtype=np.int64))
+    return tables._mertens_above(hierarchy.tolist())[-1]
 
 
-def _blocks(ct: int, ck: int, tables: NTTables) -> tuple[np.ndarray, np.ndarray]:
+def _blocks(ct: int, ck: int, tables: NTTables
+            ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """Ends of blocks of d <= top = min(ct, ck) and, per block, the sums of d^j mu(d).
 
     The ends are every d <= min(top, isqrt(max(ct, ck))) and the values
@@ -629,7 +634,9 @@ def _blocks(ct: int, ck: int, tables: NTTables) -> tuple[np.ndarray, np.ndarray]
     every point where ct // d or ck // d changes, so both are constant on
     each block (a repeated end is an empty block), and the ends above
     isqrt(max(ct, ck)) are quotients of ct or ck, closed under
-    x -> x // q as _mertens_at needs.
+    x -> x // q as the memoised recursion needs.  The sums come in two
+    parts: int64 rows j = 0, 1, 2 for the blocks that end within the
+    Mertens prefix, and Python-int triples for the blocks after them.
     """
     top = min(ct, ck)
     root_t, root_k = math.isqrt(ct), math.isqrt(ck)
@@ -638,29 +645,111 @@ def _blocks(ct: int, ck: int, tables: NTTables) -> tuple[np.ndarray, np.ndarray]
     if len(ends) < top:
         ends = np.sort(np.concatenate((ends, ct // q[ct // (top + 1):root_t],
                                        ck // q[ck // (top + 1):root_k])))
-    at_ends = _mertens_at(ends, tables)
-    moments = at_ends.copy()
-    moments[:, 1:] -= at_ends[:, :-1]
-    return ends, moments
+    prefix = tables.mertens_prefix
+    stored = prefix.shape[1] - 1
+    # the last end is top itself (top // 1)
+    split = len(ends) if top <= stored else int(np.searchsorted(ends, stored, side="right"))
+    low = prefix.take(ends[:split], axis=1)
+    low[:, 1:] = low[:, 1:] - low[:, :-1]
+    high = []
+    if split < len(ends):
+        before = prefix[:, ends[split - 1]].tolist()  # ends[0] = 1 is always stored
+        for at in tables._mertens_above(ends[split:].tolist()):
+            high.append((at[0] - before[0], at[1] - before[1], at[2] - before[2]))
+            before = at
+    return ends, low, high
+
+
+# -- residue passes: a block sum mod 2^64 and mod 32-bit primes, then CRT ---
+# Every array in a pass is uint64 and holds residues, below the prime in a
+# prime pass, so the product of two fits 64 bits.  Scalar factors multiply
+# the Python-int sums, and a prime enters numpy as np.uint64: numpy
+# computes uint64 with int64 in float64 (before numpy 2, with a negative
+# Python int too).
+
+def _residues(a: np.ndarray, modulus: int) -> np.ndarray:
+    """int64 ``a`` as uint64 residues: its bits mod 2^64, otherwise a % modulus."""
+    return a.view(np.uint64) if modulus == _WRAP else (a % modulus).astype(np.uint64)
+
+
+def _block_moments(low: np.ndarray, high: list[tuple[int, int, int]],
+                   modulus: int) -> np.ndarray:
+    """The per-block sums from _blocks as uint64 rows j = 0, 1, 2 mod ``modulus``."""
+    rows = _residues(low, modulus)
+    if high:
+        above = np.array([[x % modulus for x in block] for block in high], dtype=np.uint64)
+        rows = np.concatenate((rows, above.T), axis=1)
+    return rows
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """a * b mod ``modulus`` for uint64 residues."""
+    return a * b if modulus == _WRAP else a * b % np.uint64(modulus)
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> int:
+    """A Python int congruent to sum(a * b) mod ``modulus``, for uint64 residues.
+
+    In a prime pass each reduced product is below 2^32, so a sum of fewer
+    than 2^32 of them cannot wrap.
+    """
+    if modulus == _WRAP:
+        return int(a.dot(b))
+    return int((a * b % np.uint64(modulus)).sum())
+
+
+def _primes_needed(bound: int) -> int:
+    """The least c with 2^64 times the first c residue primes > 2 * bound."""
+    count = bisect.bisect_right(_HALF_MODULI, bound)
+    if count == len(_HALF_MODULI):
+        raise CapacityError(f"a block sum bounded by {bound} exceeds the residue range")
+    return count
+
+
+def _from_residues(bound: int, residue: Callable[..., int], *args: Any) -> int:
+    """The integer x with |x| <= bound that residue(modulus, *args) gives mod modulus.
+
+    residue is asked mod 2^64 and then mod each of the first
+    _primes_needed(bound) residue primes.  Their product exceeds 2 * bound,
+    so the residues fix x, and Garner's mixed-radix form joins them (Garner,
+    "The residue number system", IRE Trans. EC-8, 1959).  A bound below
+    2^63 needs the 2^64 pass alone.
+    """
+    count = _primes_needed(bound)
+    x, modulus = residue(_WRAP, *args) % _WRAP, _WRAP
+    for p in _RESIDUE_PRIMES[:count]:
+        x += modulus * ((residue(p, *args) - x) * pow(modulus, -1, p) % p)
+        modulus *= p
+    if x > _HALF_MODULI[count]:
+        x -= modulus
+    if not -bound <= x <= bound:  # a residue pass or the caller's bound is wrong
+        raise ArithmeticError(f"block sum {x} outside its bound {bound}")
+    return x
 
 
 def u_blocked(t: int, k: int, tables: NTTables) -> int:
     """U(t, k) = sum_s mu(s) floor(t/s) floor(k/s), one term per block.
 
     Both floors are constant on the O(sqrt(t) + sqrt(k)) blocks of s, so
-    each block contributes floor(t/s) floor(k/s) times its sum of mu.
+    each block contributes floor(t/s) floor(k/s) times its sum of mu.  The
+    block sum runs in residues (see _from_residues) against the bound
+    0 <= U(t, k) <= t k, which holds because U counts pairs in [1, t] x [1, k].
     Needs tables.limit >= kernel_sieve_limit(t, k); equals u_mobius.
     """
     if t < 0 or k < 0:
         raise ValueError("U is defined for non-negative arguments")
-    top = min(t, k)
-    if top == 0:
+    if min(t, k) == 0:
         return 0
     _require_kernel_limit(tables, t, k)
-    ends, moments = _blocks(t, k, tables)
-    # each block's |sum of mu| is at most its length, and the lengths add up to top
-    q = _as_exact(t // ends, t * k * top)
-    return int(q * (k // ends) @ moments[0])
+    ends, low, high = _blocks(t, k, tables)
+    return _from_residues(t * k, _u_block_sum, t // ends, k // ends, low, high)
+
+
+def _u_block_sum(modulus: int, qt: np.ndarray, qk: np.ndarray, low: np.ndarray,
+                 high: list[tuple[int, int, int]]) -> int:
+    """U mod ``modulus``: the sum over blocks of qt qk times the block's sum of mu."""
+    floors = _mul_mod(_residues(qt, modulus), _residues(qk, modulus), modulus)
+    return _dot_mod(floors, _block_moments(low, high, modulus)[0], modulus)
 
 
 def v_blocked(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> QuarterInt:
@@ -669,24 +758,35 @@ def v_blocked(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> QuarterInt:
     With c = floor(ceil(t)/d) constant on a block, 2A(t, d) =
     c(2t + 2 - (c + 1) d) is linear in d there, so the block contributes a
     quadratic in d: its sums of d^j mu(d), j = 0, 1, 2, weighted by the
-    coefficients of the product of the two sides.  Accumulated in Python ints,
-    or in int64 where a bound proves that exact: correct at any size.
+    coefficients of the product of the two sides.  The block sum runs in
+    residues (see _from_residues) against the bound
+    0 <= 4V(t, k) <= ceil(t) ceil(k) (2t + 2)(2k + 2): 4V sums
+    (2t + 2 - 2i)(2k + 2 - 2j) over at most ceil(t) ceil(k) coprime pairs,
+    and 2t + 2 - 2i lies in [1, 2t] for 1 <= i <= ceil(t).
     Needs tables.limit >= kernel_sieve_limit(ceil(t), ceil(k)); equals
     v_fast.
     """
     T, K, ct, ck = _v_prepare(t, k)
-    top = min(ct, ck)
-    if top <= 0:
+    if min(ct, ck) <= 0:
         return QuarterInt(0)
     _require_kernel_limit(tables, ct, ck)
-    ends, moments = _blocks(ct, ck, tables)
-    # c <= ceil on each side and |sum of d^j mu(d)| <= top^j * length
-    # bound every intermediate of the block sum below
-    bound = ct * ck * top * ((T + 2) * (K + 2 + (ck + 1) * top)
-                             + (ct + 1) * top * ((ck + 1) * top + K + 2))
-    m0, m1, m2 = _as_exact(moments, bound)
-    qt, qk = _as_exact(ct // ends, bound), ck // ends
-    pt, pk = qt + 1, qk + 1
-    # 2A(t, d) 2A(k, d) = qt qk (T + 2 - pt d)(K + 2 - pk d) on the block
-    inner = (T + 2) * ((K + 2) * m0 - pk * m1) + pt * (pk * m2 - (K + 2) * m1)
-    return QuarterInt(int((qt * qk) @ inner))
+    ends, low, high = _blocks(ct, ck, tables)
+    bound = ct * ck * (T + 2) * (K + 2)
+    return QuarterInt(_from_residues(bound, _v_block_sum, T, K, ct // ends, ck // ends, low, high))
+
+
+def _v_block_sum(modulus: int, T: int, K: int, qt: np.ndarray, qk: np.ndarray,
+                 low: np.ndarray, high: list[tuple[int, int, int]]) -> int:
+    """4V mod ``modulus``: the sum of qt qk (T + 2 - pt d)(K + 2 - pk d) mu(d).
+
+    That is 2A(t, d) 2A(k, d) mu(d) on a block, with p = q + 1; expanded
+    in d, it weights the block's sums of d^j mu(d), j = 0, 1, 2.
+    """
+    m = _block_moments(low, high, modulus)
+    pt = _residues(qt + 1, modulus)
+    floors = _mul_mod(_residues(qt, modulus), _residues(qk, modulus), modulus)
+    with_pk = _mul_mod(floors, _residues(qk + 1, modulus), modulus)
+    return ((T + 2) * ((K + 2) * _dot_mod(floors, m[0], modulus)
+                       - _dot_mod(with_pk, m[1], modulus))
+            - (K + 2) * _dot_mod(_mul_mod(floors, pt, modulus), m[1], modulus)
+            + _dot_mod(_mul_mod(with_pk, pt, modulus), m[2], modulus))

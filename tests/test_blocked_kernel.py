@@ -2,9 +2,12 @@
 
 u_blocked and v_blocked sum over blocks of constant quotients with the
 weighted Mertens sums M_j(x) = sum_{d<=x} d^j mu(d); above the sieve those
-come from a memoised recursion.  Every check here compares them with an
+come from a memoised recursion.  Most checks here compare them with an
 evaluation that shares none of that machinery: gcd tables straight from
 the definition, u_naive/v_naive, and the linear kernels u_mobius/v_fast.
+The block sums themselves run in uint64 residues joined by CRT; their
+judge is the earlier Python-int block sum over the same blocks, kept
+below as u_by_python_ints/v_by_python_ints.
 """
 
 import math
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from gridthresh import (
     GridSpec,
     HalfInt,
+    QuarterInt,
     breakdown,
     count_p,
     kernel_sieve_limit,
@@ -32,7 +36,19 @@ from gridthresh import (
     v_naive,
     weighted_mertens,
 )
-from gridthresh.numtheory import KERNEL_SIEVE_C, _dot, _mertens_prefix
+from gridthresh.cli import COUNT_SIDE_CAP
+from gridthresh.errors import CapacityError
+import gridthresh.numtheory as numtheory
+from gridthresh.numtheory import (
+    _CRT_MODULI,
+    _RESIDUE_PRIMES,
+    KERNEL_SIEVE_C,
+    _as_exact,
+    _blocks,
+    _dot,
+    _mertens_prefix,
+    _v_prepare,
+)
 
 from conftest import RANDOM_SEED
 
@@ -235,3 +251,185 @@ def test_dot_is_exact(rows):
     a = np.array([r[0] for r in rows], dtype=np.int64)
     b = np.array([r[1] for r in rows], dtype=np.int64)
     assert _dot(a, b) == sum(x * y for x, y in rows)
+
+
+# -- the residue block sums against the earlier Python-int block sum --------
+
+def _judge_blocks(ct: int, ck: int, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Block ends and per-block sums of d^j mu(d), as the earlier kernels held them.
+
+    int64 when every block ends within the Mertens prefix, otherwise an
+    object array of Python ints.
+    """
+    ends, low, high = _blocks(ct, ck, tables)
+    if not high:
+        return ends, low
+    return ends, np.concatenate((low.astype(object), np.array(high, dtype=object).T), axis=1)
+
+
+def u_by_python_ints(t: int, k: int, tables) -> int:
+    """U(t, k) by the earlier block sum: Python ints, or int64 under a checked bound."""
+    top = min(t, k)
+    if top == 0:
+        return 0
+    ends, moments = _judge_blocks(t, k, tables)
+    # each block's |sum of mu| is at most its length, and the lengths add up to top
+    q = _as_exact(t // ends, t * k * top)
+    return int(q * (k // ends) @ moments[0])
+
+
+def v_by_python_ints(t, k, tables) -> QuarterInt:
+    """4V(t, k) by the earlier block sum: Python ints, or int64 under a checked bound."""
+    T, K, ct, ck = _v_prepare(t, k)
+    top = min(ct, ck)
+    if top <= 0:
+        return QuarterInt(0)
+    ends, moments = _judge_blocks(ct, ck, tables)
+    # c <= ceil on each side and |sum of d^j mu(d)| <= top^j * length
+    # bound every intermediate of the block sum below
+    bound = ct * ck * top * ((T + 2) * (K + 2 + (ck + 1) * top)
+                             + (ct + 1) * top * ((ck + 1) * top + K + 2))
+    m0, m1, m2 = _as_exact(moments, bound)
+    qt, qk = _as_exact(ct // ends, bound), ck // ends
+    pt, pk = qt + 1, qk + 1
+    # 2A(t, d) 2A(k, d) = qt qk (T + 2 - pt d)(K + 2 - pk d) on the block
+    inner = (T + 2) * ((K + 2) * m0 - pk * m1) + pt * (pk * m2 - (K + 2) * m1)
+    return QuarterInt(int((qt * qk) @ inner))
+
+
+@pytest.fixture
+def residue_passes(monkeypatch):
+    """Every residue pass of the kernels, checked to run on uint64 arrays.
+
+    Wraps the pass helpers: the residues they make, and every array the
+    arithmetic takes or returns, must be uint64 (numpy would promote a
+    mixed uint64/int64 expression to float64).  Returns the list of prime
+    counts, one per reconstructed block sum.
+    """
+    counts: list[int] = []
+
+    def uint64_only(*arrays):
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                assert a.dtype == np.uint64, a.dtype
+
+    def checked(name, inputs):
+        original = getattr(numtheory, name)
+
+        def wrapper(*args):
+            if inputs:
+                uint64_only(*args)
+            result = original(*args)
+            uint64_only(result)
+            return result
+
+        monkeypatch.setattr(numtheory, name, wrapper)
+
+    checked("_residues", inputs=False)
+    checked("_block_moments", inputs=False)
+    checked("_mul_mod", inputs=True)
+    checked("_dot_mod", inputs=True)
+    original = numtheory._from_residues
+
+    def recording(bound, residue, *args):
+        counts.append(numtheory._primes_needed(bound))
+        return original(bound, residue, *args)
+
+    monkeypatch.setattr(numtheory, "_from_residues", recording)
+    return counts
+
+
+def _assert_kernels_equal_judge(T: int, K: int, tables) -> None:
+    t, k = HalfInt(T), HalfInt(K)
+    assert v_blocked(t, k, tables) == v_by_python_ints(t, k, tables), (T, K)
+    if T % 2 == 0 and K % 2 == 0 and min(T, K) >= 0:
+        u_args = (T // 2, K // 2)
+        assert u_blocked(*u_args, tables) == u_by_python_ints(*u_args, tables), (T, K)
+
+
+def test_residue_kernels_equal_python_ints_on_every_small_pair(residue_passes):
+    tables = sieve(40)  # every doubled argument below 80 has a ceiling <= 40
+    for T in range(-2, 80):
+        for K in range(-2, 80):
+            _assert_kernels_equal_judge(T, K, tables)
+    assert set(residue_passes) == {0}
+
+
+def test_residue_kernels_equal_python_ints_up_to_ten_million(residue_passes):
+    rng = random.Random(RANDOM_SEED + 2)
+    pairs = [(2 * 10**7, 2 * 10**7), (2 * 10**7 - 1, 2 * 10**7)]
+    for _ in range(10):
+        pairs.append((rng.randrange(2, 2 * 10**7 + 1), rng.randrange(2, 2 * 10**7 + 1)))
+    for T, K in pairs:  # doubled: odd values are half-integers
+        tables = sieve(kernel_sieve_limit((T + 1) // 2, (K + 1) // 2))
+        _assert_kernels_equal_judge(T, K, tables)
+    assert max(residue_passes) == 2  # 4V(10^7, 10^7) is bounded by 4e28 > 2^95
+
+
+def test_residue_kernels_equal_python_ints_up_to_the_side_cap(residue_passes):
+    rng = random.Random(RANDOM_SEED + 3)
+    tables = sieve(10**6)  # reaches every short side, so no recursion runs
+    pairs = [(2 * 10**6, 2 * COUNT_SIDE_CAP), (2 * 10**6 - 1, 2 * COUNT_SIDE_CAP)]
+    for _ in range(6):
+        short = rng.randrange(2, 2 * 10**6 + 1)
+        long = int(math.exp(rng.uniform(math.log(short), math.log(2 * COUNT_SIDE_CAP))))
+        pairs.append((short, long) if rng.random() < 0.5 else (long, short))
+    for T, K in pairs:
+        assert kernel_sieve_limit((T + 1) // 2, (K + 1) // 2) <= tables.limit
+        _assert_kernels_equal_judge(T, K, tables)
+    assert max(residue_passes) == 2
+
+
+def _crt_thresholds() -> list[int]:
+    """The bounds at which the prime count steps up: 2^64 prod(p) / 2."""
+    return [modulus // 2 for modulus in _CRT_MODULI]
+
+
+def test_residue_primes_are_distinct_primes_below_2_32():
+    assert len(set(_RESIDUE_PRIMES)) == len(_RESIDUE_PRIMES)
+    for p in _RESIDUE_PRIMES:
+        assert 2**31 < p < 2**32
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert _CRT_MODULI[0] == 2**64
+    assert _CRT_MODULI[-1] > 2 * (2**63) ** 2 * (2**64 + 2) ** 2  # every int64 argument pair
+
+
+def test_prime_count_is_the_least_that_covers_twice_the_bound():
+    rng = random.Random(RANDOM_SEED + 4)
+    bounds = [0, 1, 2**62, 2**63 - 1, 2**63]
+    for threshold in _crt_thresholds()[:-1]:
+        bounds += [threshold - 1, threshold, threshold + 1, rng.randrange(threshold)]
+    for bound in bounds:
+        count = numtheory._primes_needed(bound)
+        assert _CRT_MODULI[count] > 2 * bound
+        assert count == 0 or _CRT_MODULI[count - 1] <= 2 * bound
+    assert numtheory._primes_needed(2**63 - 1) == 0
+    assert numtheory._primes_needed(2**63) == 1
+    with pytest.raises(CapacityError):
+        numtheory._primes_needed(_crt_thresholds()[-1])
+
+
+@pytest.mark.parametrize("step", range(len(_CRT_MODULI) - 1))
+@pytest.mark.parametrize("side", [-1, 0])
+@given(data=st.data())
+def test_residues_reconstruct_every_integer_within_the_bound(step, side, data):
+    # B just below (side -1) and at (side 0) the bound where the count steps up
+    bound = _crt_thresholds()[step] + side
+    count = numtheory._primes_needed(bound)
+    assert count == step + 1 + side
+    x = data.draw(st.one_of(st.sampled_from([-bound, bound, 0, -1, 1]),
+                            st.integers(-bound, bound)))
+    asked = []
+
+    def residue(modulus: int) -> int:
+        asked.append(modulus)
+        return x % modulus
+
+    assert numtheory._from_residues(bound, residue) == x
+    assert asked == [2**64, *_RESIDUE_PRIMES[:count]]
+
+
+def test_residues_outside_the_bound_are_refused():
+    # the residues of bound + 1 are not those of any integer within the bound
+    with pytest.raises(ArithmeticError):
+        numtheory._from_residues(2**63 - 1, lambda modulus: 2**63 % modulus)

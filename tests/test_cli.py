@@ -17,6 +17,7 @@ from gridthresh import GridSpec, NTTables, count_p, count_total, cross_validate,
 from gridthresh.cli import (
     COUNT_SIDE_CAP,
     EXIT_CAPACITY,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -458,3 +459,39 @@ def test_calls_in_one_process_print_what_a_first_call_prints(capsys):
         record, fresh = json.loads(out), json.loads(first.stdout)
         assert record.pop("elapsed_ms") >= 0 and fresh.pop("elapsed_ms") >= 0
         assert record == fresh
+
+
+def test_library_fault_is_an_internal_error_not_a_usage_error(capsys, monkeypatch):
+    def faulty(grid, tables):
+        raise ValueError(f"sieve limit 1 < kernel_sieve_limit({grid.m}, {grid.n}) = 9")
+
+    monkeypatch.setattr(gridthresh.cli, "breakdown", faulty)
+    code, out, err = run(capsys, "count", "--m", "9", "--n", "9", "--breakdown")
+    assert EXIT_INTERNAL == 4
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: ValueError: sieve limit 1 < kernel_sieve_limit(9, 9) = 9\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--m", "-1", "--n", "2"),
+    ("count", "--m", "2", "--n", "-3", "--breakdown"),
+    ("oracle", "--m", "-1", "--n", "2"),
+    ("teach", "--m", "2", "--n", "-1"),
+])
+def test_negative_grid_extents_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: grid extents must be non-negative")
+
+
+@pytest.mark.parametrize("argv", [
+    ("oeis", "--sequence", "A114146", "--count", "5", "--output"),
+    ("oracle", "--m", "1", "--n", "1", "--dump"),
+])
+def test_unwritable_output_path_is_one_line_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()
