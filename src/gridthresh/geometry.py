@@ -224,16 +224,16 @@ class CandidateScan:
         vertex, is a fault of the family and raises CandidateFamilyError
         with the zero-set as witness.
         """
-        where = f"on grid ({self.grid.m}, {self.grid.n})"
+        grid = self.grid
         if mask not in self.masks:
-            raise CandidateFamilyError(
-                _witness(self.grid, mask, f"candidate family missed a zero-set {where}"))
-        if self.grid.is_degenerate or mask in self.stable_masks:
+            raise CandidateFamilyError(_witness(
+                grid, mask, f"candidate family missed a zero-set on grid ({grid.m}, {grid.n})"))
+        if grid.is_degenerate or mask in self.stable_masks:
             return StabilityClass("stable")
         vertices = self.pointed_singletons.get(mask, frozenset())
         if len(vertices) != 1:
-            raise CandidateFamilyError(
-                _witness(self.grid, mask, f"unstable zero-set {where} lacks a unique vertex"))
+            raise CandidateFamilyError(_witness(
+                grid, mask, f"unstable zero-set on grid ({grid.m}, {grid.n}) lacks a unique vertex"))
         return StabilityClass("unstable", vertex=next(iter(vertices)))
 
 

@@ -25,10 +25,10 @@ are the oracles; the blocked forms are what production counting uses:
     V(t, k) = sum_d mu(d) * A(t, d) * A(k, d),
               A(t, d) = sum_{i=1}^{floor(ceil(t)/d)} (t + 1 - d*i)
 
-u_mobius and v_fast sum these term by term over d <= min(ceil t, ceil k),
-with the products of doubled A-values in int64 limbs (split + chunked
-accumulation into Python ints) and the overflow envelope checked, never
-assumed.  u_blocked and v_blocked group d into the O(sqrt(t) + sqrt(k))
+u_mobius and v_fast sum these term by term over d <= min(ceil t, ceil k)
+through _dot, in int64 where a bound from their arguments proves that exact
+and in Python ints otherwise, so they are exact wherever their sieve
+reaches.  u_blocked and v_blocked group d into the O(sqrt(t) + sqrt(k))
 blocks on which floor(ceil(t)/d) and floor(ceil(k)/d) are both constant.
 On a block 2A is linear in d, so a block contributes a quadratic in d and
 needs only the differences of M_0, M_1, M_2 at its ends.  Those come from
@@ -65,11 +65,6 @@ import numpy as np
 from .errors import CapacityError
 
 HalfIntLike = Union[int, Fraction, "HalfInt"]
-
-# v_fast splits doubled A-values into limbs of ceil(bits/2); partial sums of
-# limb products must stay below 2^62.  bits <= 56 keeps every chunk >= 32
-# elements, which covers arguments up to ~2.6e8.
-_MAX_DOUBLED_A_BITS = 56
 
 # The blocked kernels sieve to about KERNEL_SIEVE_C * K^(2/3) (see
 # kernel_sieve_limit).  On count requests with sides 10^5..10^6, 6, 8, 12
@@ -363,11 +358,8 @@ def u_mobius(t: int, k: int, tables: NTTables) -> int:
         return 0
     if tables.limit < s_max:
         raise ValueError(f"sieve limit {tables.limit} < min(t, k) = {s_max}")
-    if t * k > 4 * 10**18:
-        raise CapacityError(f"U({t}, {k}) exceeds the checked int64 envelope")
-    s = np.arange(1, s_max + 1, dtype=np.int64)
-    terms = (t // s) * (k // s) * tables.mu[1 : s_max + 1]
-    return int(terms.sum())
+    s = _as_exact(np.arange(1, s_max + 1, dtype=np.int64), max(t, k))
+    return _dot(t // s, (k // s) * tables.mu[1 : s_max + 1])
 
 
 def _v_prepare(t: HalfIntLike, k: HalfIntLike) -> tuple[int, int, int, int]:
@@ -416,38 +408,18 @@ def v_fast(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> QuarterInt:
     if tables.limit < d_max:
         raise ValueError(f"sieve limit {tables.limit} < ceil(min(t, k)) = {d_max}")
     d = np.arange(1, d_max + 1, dtype=np.int64)
-    qt = ct // d
-    qk = ck // d
-    a_t = qt * ((T + 2) - d * (qt + 1))  # doubled A(t, d), always >= 0
-    a_k = qk * ((K + 2) - d * (qk + 1))
-    mu_d = tables.mu[1 : d_max + 1].astype(np.int64)
-    return QuarterInt(_signed_product_sum(mu_d, a_t, a_k))
+    a_t, a_k = _doubled_a(T, ct, d), _doubled_a(K, ck, d)
+    return QuarterInt(_dot(a_t * tables.mu[1 : d_max + 1], a_k))
 
 
-def _signed_product_sum(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum(sign * a * b) for non-negative int64 a, b.
+def _doubled_a(T: int, c: int, d: np.ndarray) -> np.ndarray:
+    """2A(t, d) = q (T + 2 - d (q + 1)) with q = c // d, c = ceil(t), T = 2t.
 
-    a*b can exceed int64, so each factor is split into high/low limbs and
-    the three partial sums are accumulated per chunk into Python ints.
-    Chunk length is chosen so no partial sum can reach 2^62.
+    Every intermediate lies in [0, c (T + 2)], which picks the dtype.
     """
-    bits = int(max(a.max(), b.max())).bit_length()
-    if bits > _MAX_DOUBLED_A_BITS:
-        raise CapacityError("arguments exceed the checked int64 envelope of v_fast")
-    shift = (bits + 1) // 2
-    low_mask = (1 << shift) - 1
-    chunk = 1 << (61 - 2 * shift) if shift else len(a)
-    total = 0
-    for lo in range(0, len(a), chunk):
-        sl = slice(lo, lo + chunk)
-        sg = sign[sl]
-        ah, al = a[sl] >> shift, a[sl] & low_mask
-        bh, bl = b[sl] >> shift, b[sl] & low_mask
-        s_hh = int(np.sum(sg * (ah * bh)))
-        s_mid = int(np.sum(sg * (ah * bl + al * bh)))
-        s_ll = int(np.sum(sg * (al * bl)))
-        total += (s_hh << (2 * shift)) + (s_mid << shift) + s_ll
-    return total
+    d = _as_exact(d, c * (T + 2))
+    q = c // d
+    return q * ((T + 2) - d * (q + 1))
 
 
 def uv_square_sequence(n: int, tables: NTTables) -> tuple[list[int], list[int]]:
@@ -629,22 +601,24 @@ def _blocks(ct: int, ck: int, tables: NTTables
             ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """Ends of blocks of d <= top = min(ct, ck) and, per block, the sums of d^j mu(d).
 
-    The ends are every d <= min(top, isqrt(max(ct, ck))) and the values
-    n // q <= top for n = ct, ck and q <= isqrt(n), sorted.  That includes
-    every point where ct // d or ck // d changes, so both are constant on
-    each block (a repeated end is an empty block), and the ends above
-    isqrt(max(ct, ck)) are quotients of ct or ck, closed under
-    x -> x // q as the memoised recursion needs.  The sums come in two
+    The ends are every d <= min(top, isqrt(max(ct, ck))) and, when that
+    stops short of top, the values n // q <= top for n = ct, ck and
+    q <= isqrt(n), sorted; no q with n // q > top is generated, so memory
+    follows the blocks.  That includes every point where ct // d or
+    ck // d changes, so both are constant on each block (a repeated end is
+    an empty block), and the ends above isqrt(max(ct, ck)) are quotients
+    of ct or ck, closed under x -> x // q as the memoised recursion
+    needs.  The sums come in two
     parts: int64 rows j = 0, 1, 2 for the blocks that end within the
     Mertens prefix, and Python-int triples for the blocks after them.
     """
     top = min(ct, ck)
     root_t, root_k = math.isqrt(ct), math.isqrt(ck)
-    q = np.arange(1, max(root_t, root_k) + 1, dtype=np.int64)
-    ends = q[:top]
+    ends = np.arange(1, min(top, max(root_t, root_k)) + 1, dtype=np.int64)
     if len(ends) < top:
-        ends = np.sort(np.concatenate((ends, ct // q[ct // (top + 1):root_t],
-                                       ck // q[ck // (top + 1):root_k])))
+        ends = np.sort(np.concatenate((
+            ends, ct // np.arange(ct // (top + 1) + 1, root_t + 1, dtype=np.int64),
+            ck // np.arange(ck // (top + 1) + 1, root_k + 1, dtype=np.int64))))
     prefix = tables.mertens_prefix
     stored = prefix.shape[1] - 1
     # the last end is top itself (top // 1)

@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,54 @@ def test_dot_is_exact(rows):
     a = np.array([r[0] for r in rows], dtype=np.int64)
     b = np.array([r[1] for r in rows], dtype=np.int64)
     assert _dot(a, b) == sum(x * y for x, y in rows)
+
+
+def _progression_weight(t: int, m: int, r: int) -> int:
+    """The sum of t + 1 - i over 1 <= i <= t with i = r mod m, for 1 <= r <= t."""
+    last = (t - r) // m
+    return (last + 1) * (t + 1 - r) - m * last * (last + 1) // 2
+
+
+def test_linear_kernels_are_exact_past_int64():
+    tiny = sieve(3)
+    for t in (5 * 10**18, 10**30):  # 3t passes int64, then t itself does
+        assert u_mobius(t, 3, tiny) == t + -(-t // 2) + t - t // 3
+        # V(t, 3) sums (t + 1 - i)(4 - j) over the i <= t coprime to j <= 3
+        v = (3 * _progression_weight(t, 1, 1) + 2 * _progression_weight(t, 2, 1)
+             + _progression_weight(t, 3, 1) + _progression_weight(t, 3, 2))
+        assert v_fast(t, 3, tiny).quadrupled == 4 * v
+    # 2A(5e9, 1) = 5e9 (1e10 + 2 - 5e9 - 1) passes 2^63
+    assert 5 * 10**9 * (5 * 10**9 + 1) > 2**63
+    for t in (10**12, 5 * 10**9):
+        assert v_fast(t, 3, tiny) == v_blocked(t, 3, tiny), t
+
+
+@given(st.integers(1, 300), st.integers(0, 10**8))
+def test_block_ends_follow_the_short_side(tables512, short, extra):
+    # every d up to min(short, isqrt(long)), then the quotients n // q <= short
+    long = short + extra
+    root = math.isqrt(long)
+    expected = list(range(1, min(short, root) + 1))
+    if root < short:
+        expected = sorted(expected + [n // q for n in (short, long)
+                                      for q in range(1, math.isqrt(n) + 1) if n // q <= short])
+    for ct, ck in ((short, long), (long, short)):
+        assert _blocks(ct, ck, tables512)[0].tolist() == expected
+
+
+def test_blocks_of_a_skewed_pair_allocate_for_the_short_side():
+    tiny = sieve(3)
+    tiny.mertens_prefix  # noqa: B018  (built before the measurement)
+    t = 10**14
+    tracemalloc.start()
+    try:
+        u, v = u_blocked(t, 3, tiny), v_blocked(t, 3, tiny)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert u == u_mobius(t, 3, tiny)
+    assert v == v_fast(t, 3, tiny)
 
 
 # -- the residue block sums against the earlier Python-int block sum --------

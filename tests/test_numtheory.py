@@ -25,7 +25,6 @@ from gridthresh import (
     v_fast,
     v_naive,
 )
-from gridthresh.numtheory import _signed_product_sum
 
 from conftest import RANDOM_SEED
 
@@ -381,18 +380,3 @@ def test_quarterint_exactness():
         q.as_int()
     assert QuarterInt(32).as_int() == 8
 
-
-# -- the exact product-sum kernel -------------------------------------------
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from([-1, 0, 1]), st.integers(0, 2**45), st.integers(0, 2**45)),
-        min_size=1, max_size=300,
-    )
-)
-def test_signed_product_sum_is_exact(rows):
-    signs = np.array([r[0] for r in rows], dtype=np.int64)
-    a = np.array([r[1] for r in rows], dtype=np.int64)
-    b = np.array([r[2] for r in rows], dtype=np.int64)
-    expected = sum(int(s) * int(x) * int(y) for s, x, y in rows)
-    assert _signed_product_sum(signs, a, b) == expected
