@@ -47,11 +47,10 @@ from .numtheory import (
     QuarterInt,
     kernel_sieve_limit,
     sieve,
-    u_blocked,
     u_mobius,
     u_naive,
+    uv_blocked,
     uv_square_sequence,
-    v_blocked,
     v_fast,
     v_naive,
     weighted_mertens,
@@ -116,11 +115,10 @@ __all__ = [
     "reports_to_csv",
     "residual_sweep",
     "sieve",
-    "u_blocked",
     "u_mobius",
     "u_naive",
+    "uv_blocked",
     "uv_square_sequence",
-    "v_blocked",
     "v_fast",
     "v_naive",
     "weighted_mertens",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .counting import _total
-from .numtheory import NTTables, QuarterInt, u_blocked, v_blocked
+from .numtheory import NTTables, uv_blocked
 
 DEFAULT_SQUARE_KS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 DEFAULT_ANISO_NS = tuple(range(1, 9))
@@ -88,31 +88,29 @@ def residual_sweep(
 
     Square cases cover both U/V laws and the leading N estimate; the
     anisotropic cases (m >> n) cover the Psi/Phi-coefficient laws and the
-    anisotropic N estimate.  Each argument pair costs one U and one 4V
-    evaluation of the blocked kernel; N is assembled from that 4V.
+    anisotropic N estimate.  Each argument pair costs one call of the
+    blocked kernel, which gives U and 4V; N is assembled from that 4V.
     """
     rows: list[AsymptoticReport] = []
     six_over_pi2 = 6.0 / math.pi**2
     for k in square_ks:
-        u = u_blocked(k, k, tables)
-        four_v = v_blocked(k, k, tables).quadrupled
+        u, four_v = uv_blocked(k, k, tables)
         rows.append(_report("umk", (k, k), u, six_over_pi2 * k * k,
                             k * math.log(k)))
-        rows.append(_report("vmk", (k, k), QuarterInt(four_v).as_int(),
+        rows.append(_report("vmk", (k, k), four_v.as_int(),
                             (3.0 / (2.0 * math.pi**2)) * float(k)**4,
                             float(k)**3 * math.log(k)))
-        rows.append(_report("total_leading", (k, k), _total(k, k, four_v),
+        rows.append(_report("total_leading", (k, k), _total(k, k, four_v.quadrupled),
                             leading_estimate(k, k), float(k)**3 * math.log(k)))
     for n in aniso_ns:
         psi_n = float(tables.psi(n))
         for m in aniso_ms:
-            u = u_blocked(m, n, tables)
-            four_v = v_blocked(m, n, tables).quadrupled
+            u, four_v = uv_blocked(m, n, tables)
             rows.append(_report("umkC", (m, n), u, psi_n * m, float(n * n)))
             coeff = anisotropic_coefficient(n, tables) / 4  # V carries N/4
-            rows.append(_report("vmkC", (m, n), QuarterInt(four_v).as_int(),
+            rows.append(_report("vmkC", (m, n), four_v.as_int(),
                                 float(coeff * m * m), float(m) * n**3))
-            rows.append(_report("total_anisotropic", (m, n), _total(m, n, four_v),
+            rows.append(_report("total_anisotropic", (m, n), _total(m, n, four_v.quadrupled),
                                 anisotropic_estimate(m, n, tables),
                                 float(m) * n**3))
     return rows

@@ -224,7 +224,7 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
         if not ks:
             raise UsageError("--max-k too small, no sample points")
     ns, ms = (DEFAULT_ANISO_NS, DEFAULT_ANISO_MS) if args.family != "square" else ((), ())
-    # the blocked kernels need kernel_sieve_limit at each pair, the
+    # the blocked kernel needs kernel_sieve_limit at each pair, the
     # anisotropic coefficients the totient sums up to n
     pairs = [(k, k) for k in ks] + [(m, n) for n in ns for m in ms]
     tables = sieve(max([kernel_sieve_limit(t, k) for t, k in pairs] + list(ns)))

@@ -15,16 +15,16 @@ count_p_sequence gives P(1..K, 2) from one pass of the square-sequence
 kernel (numtheory.uv_square_sequence), for whole OEIS b-files; count_p
 stays the per-term path and the sequence's oracle.
 
-Each formula is written once.  count_total evaluates 4V(m, n) and
-count_unstable evaluates U(m, n) and 4V((m-1)/2, (n-1)/2); breakdown
-calls each of them once and assembles |F| = N/2 - 1 and
-stable = |F| - unstable, which expands to the stable formula above.  A
-breakdown therefore costs one evaluation of each kernel, and
-count_stable reads its value from that assembly.  The kernels are the
-blocked ones (numtheory.u_blocked, v_blocked), so the tables need only
-reach kernel_sieve_limit(m, n); the half-argument blocks floor(m/(2q))
-lie inside m's, so the three kernels of one breakdown share one memo of
-weighted Mertens sums.
+Each formula is written once: N in _total, the split in breakdown.
+breakdown makes one call of the blocked kernel (numtheory.uv_blocked)
+per argument pair: at (m, n) for U(m, n) and 4V(m, n), and on proper
+grids at ((m-1)/2, (n-1)/2) for the half-argument 4V.  It assembles N,
+the unstable formula, |F| = N/2 - 1 and stable = |F| - unstable, which
+expands to the stable formula above; count_stable and count_unstable
+read their values from that assembly, and count_total makes the one
+call at (m, n) alone.  The tables need only reach kernel_sieve_limit(m,
+n); the half-argument blocks floor(m/(2q)) lie inside m's, so both calls
+of one breakdown share one memo of weighted Mertens sums.
 
 All counts are exact Python integers; V flows through the quadrupled
 integer representation so the 2V/4V/8V consumers never see a rational.
@@ -43,13 +43,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .grid import GridSpec
-from .numtheory import (
-    HalfInt,
-    NTTables,
-    u_blocked,
-    uv_square_sequence,
-    v_blocked,
-)
+from .numtheory import HalfInt, NTTables, uv_blocked, uv_square_sequence
 from .numtheory import u_mobius, v_fast  # noqa: F401  (names perfbench/spans.py wraps)
 
 
@@ -83,7 +77,7 @@ def _total(m: int, n: int, four_v: int) -> int:
 
 def count_total(grid: GridSpec, tables: NTTables) -> int:
     """N(m, n), exact; symmetric in m and n."""
-    return _total(grid.m, grid.n, v_blocked(grid.m, grid.n, tables).quadrupled)
+    return _total(grid.m, grid.n, uv_blocked(grid.m, grid.n, tables)[1].quadrupled)
 
 
 def count_p(k: int, tables: NTTables) -> int:
@@ -106,11 +100,7 @@ def count_p_sequence(count: int, tables: NTTables) -> list[int]:
 
 def count_unstable(grid: GridSpec, tables: NTTables) -> int:
     """Unstable functions in F; geometric value (0) on degenerate grids."""
-    if grid.is_degenerate:
-        return 0
-    u = u_blocked(grid.m, grid.n, tables)
-    four_v_half = v_blocked(HalfInt(grid.m - 1), HalfInt(grid.n - 1), tables).quadrupled
-    return 2 * grid.m * grid.n - u + 2 * four_v_half
+    return breakdown(grid, tables).unstable
 
 
 def count_stable(grid: GridSpec, tables: NTTables) -> int:
@@ -120,8 +110,13 @@ def count_stable(grid: GridSpec, tables: NTTables) -> int:
 
 def breakdown(grid: GridSpec, tables: NTTables) -> CountBreakdown:
     """Stable/unstable/|F|/total for one grid, with provenance."""
-    total = count_total(grid, tables)
-    unstable = count_unstable(grid, tables)
+    m, n = grid.m, grid.n
+    u, four_v = uv_blocked(m, n, tables)
+    total = _total(m, n, four_v.quadrupled)
+    unstable = 0
+    if not grid.is_degenerate:
+        four_v_half = uv_blocked(HalfInt(m - 1), HalfInt(n - 1), tables)[1].quadrupled
+        unstable = 2 * m * n - u + 2 * four_v_half
     f_class = total // 2 - 1
     return CountBreakdown(
         grid=grid,

@@ -7,9 +7,10 @@ class CapacityError(Exception):
     Raised instead of silently truncating or overflowing: subset enumeration
     past 64 points, candidate-line enumeration past the configured
     grid cap, the teaching-set census past its point cap, the CLI's side
-    and b-file caps, and three limits of the exact kernels: a weighted
+    and b-file caps, and four limits of the exact kernels: a weighted
     Mertens prefix past 2^31, the Mertens recursion past what its prefix
-    covers, and a block sum past the residue range.
+    covers, a block sum past the residue range, and a blocked-kernel side
+    at or above 2^63.
     """
 
 

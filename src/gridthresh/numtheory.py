@@ -28,19 +28,22 @@ are the oracles; the blocked forms are what production counting uses:
 u_mobius and v_fast sum these term by term over d <= min(ceil t, ceil k)
 through _dot, in int64 where a bound from their arguments proves that exact
 and in Python ints otherwise, so they are exact wherever their sieve
-reaches.  u_blocked and v_blocked group d into the O(sqrt(t) + sqrt(k))
-blocks on which floor(ceil(t)/d) and floor(ceil(k)/d) are both constant.
-On a block 2A is linear in d, so a block contributes a quadratic in d and
-needs only the differences of M_0, M_1, M_2 at its ends.  Those come from
-prefix sums over mu up to the sieve limit, and above it from the Dirichlet
-identity sum_{d<=x} d^j M_j(x // d) = 1, memoised per NTTables (Deleglise &
-Rivat, Exp. Math. 1996).  So the blocked kernels need a sieve only to
+reaches.  uv_blocked, the one blocked kernel, groups d into the
+O(sqrt(t) + sqrt(k)) blocks on which floor(ceil(t)/d) and floor(ceil(k)/d)
+are both constant, and returns U and 4V of one argument pair from one set
+of blocks.  On a block 2A is linear in d, so a block contributes a
+quadratic in d and needs only the differences of M_0, M_1, M_2 at its
+ends; U is the M_0 term.  Those sums come from prefix sums over mu up to
+the sieve limit, and above it from the Dirichlet identity
+sum_{d<=x} d^j M_j(x // d) = 1, memoised per NTTables (Deleglise &
+Rivat, Exp. Math. 1996).  So the kernel needs a sieve only to
 kernel_sieve_limit(t, k) = min(D, ceil(8 K^(2/3))), with D and K the
-shorter and longer ceil argument, not to D.  Their block sums run on
-uint64 arrays, once mod 2^64 and once mod each of as many 32-bit primes
-as a proven bound on the sum needs, and the Chinese remainder theorem
-joins the residues into the exact integer; a bound below 2^63 needs the
-2^64 pass alone.  No object array is built on the way.
+shorter and longer ceil argument, not to D.  Its block sums run on
+uint64 arrays in one pass per modulus, once mod 2^64 and once mod each
+of as many 32-bit primes as the larger proven bound needs, and the
+Chinese remainder theorem joins the residues of U and of 4V into the
+exact integers; a bound below 2^63 needs the 2^64 pass alone.  No
+object array is built on the way.
 
 The square sequence serves whole OEIS b-files.  With C_j, S_j and Q_j the
 count, sum of i and sum of i*j over coprime pairs (i, j) in [1, j]^2,
@@ -66,7 +69,7 @@ from .errors import CapacityError
 
 HalfIntLike = Union[int, Fraction, "HalfInt"]
 
-# The blocked kernels sieve to about KERNEL_SIEVE_C * K^(2/3) (see
+# The blocked kernel sieves to about KERNEL_SIEVE_C * K^(2/3) (see
 # kernel_sieve_limit).  On count requests with sides 10^5..10^6, 6, 8, 12
 # and 16 were within noise of each other (24 and up slower); at 10^8..10^9
 # 8 was fastest and needs about half the memory of 16 (count_p(10^9):
@@ -171,7 +174,7 @@ class NTTables:
     :meth:`psi` as a Fraction, its prefix extended on demand (an eager
     array of exact Psi values is impossible at large limits: the reduced
     denominator of Psi(k) grows like lcm(1..k)).  Weighted Mertens values
-    above the prefix are memoised here by the blocked kernels.  Arrays are
+    above the prefix are memoised here by the blocked kernel.  Arrays are
     indexed 1..limit (index 0 is a zero sentinel) and read-only.  Every
     lazy build, every extension of the Psi prefix and every memo fill
     happens under one per-instance re-entrant lock, so a single instance
@@ -454,7 +457,7 @@ def uv_square_sequence(n: int, tables: NTTables) -> tuple[list[int], list[int]]:
 # -- the blocked kernel: U and 4V from weighted Mertens sums ---------------
 
 def kernel_sieve_limit(t: int, k: int) -> int:
-    """How far to sieve for the blocked kernels at ceiling arguments t and k.
+    """How far to sieve for the blocked kernel at ceiling arguments t and k.
 
     min(D, ceil(KERNEL_SIEVE_C * K^(2/3))) with D = min(t, k) and
     K = max(t, k), in integer arithmetic, and at least 1.  The block ends
@@ -635,7 +638,7 @@ def _blocks(ct: int, ck: int, tables: NTTables
 
 
 # -- residue passes: a block sum mod 2^64 and mod 32-bit primes, then CRT ---
-# Every array in a pass is uint64 and holds residues, below the prime in a
+# Every array in a pass is uint64 and holds residues, at most the prime in a
 # prime pass, so the product of two fits 64 bits.  Scalar factors multiply
 # the Python-int sums, and a prime enters numpy as np.uint64: numpy
 # computes uint64 with int64 in float64 (before numpy 2, with a negative
@@ -680,87 +683,75 @@ def _primes_needed(bound: int) -> int:
     return count
 
 
-def _from_residues(bound: int, residue: Callable[..., int], *args: Any) -> int:
-    """The integer x with |x| <= bound that residue(modulus, *args) gives mod modulus.
+def _from_residues(bounds: tuple[int, ...], residue: Callable[..., tuple[int, ...]],
+                   *args: Any) -> tuple[int, ...]:
+    """The integers x_i with |x_i| <= bounds[i] that residue(modulus, *args) gives mod modulus.
 
-    residue is asked mod 2^64 and then mod each of the first
-    _primes_needed(bound) residue primes.  Their product exceeds 2 * bound,
-    so the residues fix x, and Garner's mixed-radix form joins them (Garner,
-    "The residue number system", IRE Trans. EC-8, 1959).  A bound below
-    2^63 needs the 2^64 pass alone.
+    residue returns one residue per bound.  It is asked mod 2^64 and then
+    mod each of the first _primes_needed(max(bounds)) residue primes.
+    Their product exceeds twice every bound, so the residues fix each x_i,
+    and Garner's mixed-radix form joins them (Garner, "The residue number
+    system", IRE Trans. EC-8, 1959).  Bounds below 2^63 need the 2^64 pass
+    alone.
     """
-    count = _primes_needed(bound)
-    x, modulus = residue(_WRAP, *args) % _WRAP, _WRAP
+    count = _primes_needed(max(bounds))
+    xs, modulus = [r % _WRAP for r in residue(_WRAP, *args)], _WRAP
     for p in _RESIDUE_PRIMES[:count]:
-        x += modulus * ((residue(p, *args) - x) * pow(modulus, -1, p) % p)
+        inverse = pow(modulus, -1, p)
+        xs = [x + modulus * ((r - x) * inverse % p) for x, r in zip(xs, residue(p, *args))]
         modulus *= p
-    if x > _HALF_MODULI[count]:
-        x -= modulus
-    if not -bound <= x <= bound:  # a residue pass or the caller's bound is wrong
-        raise ArithmeticError(f"block sum {x} outside its bound {bound}")
-    return x
+    xs = [x - modulus if x > _HALF_MODULI[count] else x for x in xs]
+    for x, bound in zip(xs, bounds):
+        if not -bound <= x <= bound:  # a residue pass or the caller's bound is wrong
+            raise ArithmeticError(f"block sum {x} outside its bound {bound}")
+    return tuple(xs)
 
 
-def u_blocked(t: int, k: int, tables: NTTables) -> int:
-    """U(t, k) = sum_s mu(s) floor(t/s) floor(k/s), one term per block.
+def uv_blocked(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> tuple[int, QuarterInt]:
+    """U(ceil t, ceil k) and 4V(t, k) from one set of blocks and one residue pass.
 
-    Both floors are constant on the O(sqrt(t) + sqrt(k)) blocks of s, so
-    each block contributes floor(t/s) floor(k/s) times its sum of mu.  The
-    block sum runs in residues (see _from_residues) against the bound
-    0 <= U(t, k) <= t k, which holds because U counts pairs in [1, t] x [1, k].
-    Needs tables.limit >= kernel_sieve_limit(t, k); equals u_mobius.
-    """
-    if t < 0 or k < 0:
-        raise ValueError("U is defined for non-negative arguments")
-    if min(t, k) == 0:
-        return 0
-    _require_kernel_limit(tables, t, k)
-    ends, low, high = _blocks(t, k, tables)
-    return _from_residues(t * k, _u_block_sum, t // ends, k // ends, low, high)
-
-
-def _u_block_sum(modulus: int, qt: np.ndarray, qk: np.ndarray, low: np.ndarray,
-                 high: list[tuple[int, int, int]]) -> int:
-    """U mod ``modulus``: the sum over blocks of qt qk times the block's sum of mu."""
-    floors = _mul_mod(_residues(qt, modulus), _residues(qk, modulus), modulus)
-    return _dot_mod(floors, _block_moments(low, high, modulus)[0], modulus)
-
-
-def v_blocked(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> QuarterInt:
-    """4V(t, k) = sum_d mu(d) 2A(t, d) 2A(k, d), one term per block.
-
-    With c = floor(ceil(t)/d) constant on a block, 2A(t, d) =
-    c(2t + 2 - (c + 1) d) is linear in d there, so the block contributes a
-    quadratic in d: its sums of d^j mu(d), j = 0, 1, 2, weighted by the
-    coefficients of the product of the two sides.  The block sum runs in
-    residues (see _from_residues) against the bound
+    With q = floor(ceil(t)/d) constant on a block, 2A(t, d) =
+    q(2t + 2 - (q + 1) d) is linear in d there, so the block contributes
+    to 4V a quadratic in d: its sums of d^j mu(d), j = 0, 1, 2, weighted
+    by the coefficients of the product of the two sides.  The j = 0 sum
+    weighted by qt qk alone is U, the coprime pairs of
+    [1, ceil t] x [1, ceil k].  The block sums run in residues (see
+    _from_residues) against the bounds 0 <= U <= ceil(t) ceil(k) and
     0 <= 4V(t, k) <= ceil(t) ceil(k) (2t + 2)(2k + 2): 4V sums
-    (2t + 2 - 2i)(2k + 2 - 2j) over at most ceil(t) ceil(k) coprime pairs,
-    and 2t + 2 - 2i lies in [1, 2t] for 1 <= i <= ceil(t).
+    (2t + 2 - 2i)(2k + 2 - 2j) over those U pairs, and 2t + 2 - 2i lies in
+    [1, 2t] for 1 <= i <= ceil(t).  Arguments from -1 up, half-integers
+    included; an empty sum is (0, 0), and a ceiling of 2^63 or more in a
+    non-empty one raises CapacityError (the blocks live in int64).
     Needs tables.limit >= kernel_sieve_limit(ceil(t), ceil(k)); equals
-    v_fast.
+    (u_mobius, v_fast) at the ceilings.
     """
     T, K, ct, ck = _v_prepare(t, k)
     if min(ct, ck) <= 0:
-        return QuarterInt(0)
+        return 0, QuarterInt(0)
+    if max(ct, ck) >= 2**63:
+        raise CapacityError(f"kernel side {max(ct, ck)} past int64")
     _require_kernel_limit(tables, ct, ck)
     ends, low, high = _blocks(ct, ck, tables)
-    bound = ct * ck * (T + 2) * (K + 2)
-    return QuarterInt(_from_residues(bound, _v_block_sum, T, K, ct // ends, ck // ends, low, high))
+    bounds = (ct * ck, ct * ck * (T + 2) * (K + 2))
+    u, four_v = _from_residues(bounds, _uv_block_sum, T, K, ct // ends, ck // ends, low, high)
+    return u, QuarterInt(four_v)
 
 
-def _v_block_sum(modulus: int, T: int, K: int, qt: np.ndarray, qk: np.ndarray,
-                 low: np.ndarray, high: list[tuple[int, int, int]]) -> int:
-    """4V mod ``modulus``: the sum of qt qk (T + 2 - pt d)(K + 2 - pk d) mu(d).
+def _uv_block_sum(modulus: int, T: int, K: int, qt: np.ndarray, qk: np.ndarray,
+                  low: np.ndarray, high: list[tuple[int, int, int]]) -> tuple[int, int]:
+    """(U, 4V) mod ``modulus``: sums of qt qk mu(d) and qt qk (T + 2 - pt d)(K + 2 - pk d) mu(d).
 
-    That is 2A(t, d) 2A(k, d) mu(d) on a block, with p = q + 1; expanded
-    in d, it weights the block's sums of d^j mu(d), j = 0, 1, 2.
+    The second is 2A(t, d) 2A(k, d) mu(d) on a block, with p = q + 1;
+    expanded in d, it weights the block's sums of d^j mu(d), j = 0, 1, 2,
+    and its j = 0 term is (T + 2)(K + 2) times the first.  p is taken as a
+    residue plus one, so q = 2^63 - 1 does not overflow.
     """
     m = _block_moments(low, high, modulus)
-    pt = _residues(qt + 1, modulus)
-    floors = _mul_mod(_residues(qt, modulus), _residues(qk, modulus), modulus)
-    with_pk = _mul_mod(floors, _residues(qk + 1, modulus), modulus)
-    return ((T + 2) * ((K + 2) * _dot_mod(floors, m[0], modulus)
-                       - _dot_mod(with_pk, m[1], modulus))
-            - (K + 2) * _dot_mod(_mul_mod(floors, pt, modulus), m[1], modulus)
-            + _dot_mod(_mul_mod(with_pk, pt, modulus), m[2], modulus))
+    rt, rk, one = _residues(qt, modulus), _residues(qk, modulus), np.uint64(1)
+    pt = rt + one
+    floors = _mul_mod(rt, rk, modulus)
+    with_pk = _mul_mod(floors, rk + one, modulus)
+    u = _dot_mod(floors, m[0], modulus)
+    return u, ((T + 2) * ((K + 2) * u - _dot_mod(with_pk, m[1], modulus))
+               - (K + 2) * _dot_mod(_mul_mod(floors, pt, modulus), m[1], modulus)
+               + _dot_mod(_mul_mod(with_pk, pt, modulus), m[2], modulus))

@@ -1,13 +1,15 @@
-"""The blocked kernels against the linear kernels and the definitions.
+"""The blocked kernel against the linear kernels and the definitions.
 
-u_blocked and v_blocked sum over blocks of constant quotients with the
-weighted Mertens sums M_j(x) = sum_{d<=x} d^j mu(d); above the sieve those
-come from a memoised recursion.  Most checks here compare them with an
-evaluation that shares none of that machinery: gcd tables straight from
-the definition, u_naive/v_naive, and the linear kernels u_mobius/v_fast.
-The block sums themselves run in uint64 residues joined by CRT; their
-judge is the earlier Python-int block sum over the same blocks, kept
-below as u_by_python_ints/v_by_python_ints.
+uv_blocked returns U at the ceilings and 4V of one argument pair from one
+set of blocks of constant quotients, weighted by the Mertens sums
+M_j(x) = sum_{d<=x} d^j mu(d); above the sieve those come from a
+memoised recursion.  blocked_u and blocked_v below are its two halves.
+Most checks here compare them with an evaluation that shares none of
+that machinery: gcd tables straight from the definition, u_naive/v_naive,
+and the linear kernels u_mobius/v_fast.  The block sums themselves run in
+uint64 residues joined by CRT; their judge is the earlier Python-int
+block sum over the same blocks, kept below as
+u_by_python_ints/v_by_python_ints.
 """
 
 import math
@@ -29,10 +31,9 @@ from gridthresh import (
     count_p,
     kernel_sieve_limit,
     sieve,
-    u_blocked,
     u_mobius,
     u_naive,
-    v_blocked,
+    uv_blocked,
     v_fast,
     v_naive,
     weighted_mertens,
@@ -54,6 +55,14 @@ from gridthresh.numtheory import (
 from conftest import RANDOM_SEED
 
 SMALL_DOUBLED = 400  # doubled arguments -2..400, ceilings up to 200
+
+
+def blocked_u(t, k, tables) -> int:
+    return uv_blocked(t, k, tables)[0]
+
+
+def blocked_v(t, k, tables) -> QuarterInt:
+    return uv_blocked(t, k, tables)[1]
 
 
 def definitional_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,23 +102,23 @@ def test_blocked_kernels_equal_every_small_doubled_pair():
     doubled = range(-2, SMALL_DOUBLED + 1)
     for T in doubled:
         row = v_table[T + 2]
-        got = [v_blocked(HalfInt(T), HalfInt(K), tables).quadrupled for K in doubled]
+        got = [blocked_v(HalfInt(T), HalfInt(K), tables).quadrupled for K in doubled]
         assert got == row.tolist(), T
     for t in range(top + 1):
-        assert [u_blocked(t, k, tables) for k in range(top + 1)] == u_table[t].tolist(), t
+        assert [blocked_u(t, k, tables) for k in range(top + 1)] == u_table[t].tolist(), t
     # the linear kernels on a stride, the naive ones on a coarser one
     for T in range(-2, SMALL_DOUBLED + 1, 13):
         for K in range(-2, SMALL_DOUBLED + 1, 11):
-            assert v_blocked(HalfInt(T), HalfInt(K), tables) == v_fast(HalfInt(T), HalfInt(K), tables)
+            assert blocked_v(HalfInt(T), HalfInt(K), tables) == v_fast(HalfInt(T), HalfInt(K), tables)
     for T in range(-2, SMALL_DOUBLED + 1, 37):
         for K in range(-1, SMALL_DOUBLED + 1, 41):
-            assert v_blocked(HalfInt(T), HalfInt(K), tables) == v_naive(HalfInt(T), HalfInt(K))
+            assert blocked_v(HalfInt(T), HalfInt(K), tables) == v_naive(HalfInt(T), HalfInt(K))
     for t in range(0, top + 1, 3):
         for k in range(0, top + 1, 5):
-            assert u_blocked(t, k, tables) == u_mobius(t, k, tables)
+            assert blocked_u(t, k, tables) == u_mobius(t, k, tables)
     for t in range(0, top + 1, 19):
         for k in range(0, top + 1, 23):
-            assert u_blocked(t, k, tables) == u_naive(t, k)
+            assert blocked_u(t, k, tables) == u_naive(t, k)
 
 
 def test_weighted_mertens_recursion_equals_prefix_sums():
@@ -159,18 +168,18 @@ def test_blocked_kernels_through_the_recursion(tables10m):
     for t, k in _random_pairs(rng, 10) + [(HalfInt(2 * 10**7), HalfInt(2 * 10**7 - 1))]:
         at_limit = sieve(kernel_sieve_limit(t.ceil, k.ceil))
         assert at_limit.limit < min(t.ceil, k.ceil)
-        assert v_blocked(t, k, at_limit) == v_fast(t, k, tables10m), (t, k)
+        assert blocked_v(t, k, at_limit) == v_fast(t, k, tables10m), (t, k)
         if t.is_integer and k.is_integer:
             u_args = (t.doubled // 2, k.doubled // 2)
-            assert u_blocked(*u_args, at_limit) == u_mobius(*u_args, tables10m), (t, k)
+            assert blocked_u(*u_args, at_limit) == u_mobius(*u_args, tables10m), (t, k)
 
 
 def test_blocked_kernels_at_three_million(tables10m):
     # an unchecked int64 block sum gets P(3e6, 2) wrong
     k = 3 * 10**6
     at_limit = sieve(kernel_sieve_limit(k - 1, k - 1))
-    assert v_blocked(k - 1, k - 1, at_limit) == v_fast(k - 1, k - 1, tables10m)
-    assert u_blocked(k - 1, k, at_limit) == u_mobius(k - 1, k, tables10m)
+    assert blocked_v(k - 1, k - 1, at_limit) == v_fast(k - 1, k - 1, tables10m)
+    assert blocked_u(k - 1, k, at_limit) == u_mobius(k - 1, k, tables10m)
     assert count_p(k, at_limit) == count_p(k, sieve(4 * at_limit.limit))
 
 
@@ -180,7 +189,7 @@ def test_blocked_kernels_full_sieve_equals_limit_sieve():
     for _ in range(40):
         T, K = rng.randrange(1100, 40_001), rng.randrange(1100, 40_001)
         at_limit = sieve(kernel_sieve_limit((T + 1) // 2, (K + 1) // 2))
-        assert v_blocked(HalfInt(T), HalfInt(K), at_limit) == v_blocked(HalfInt(T), HalfInt(K), full)
+        assert blocked_v(HalfInt(T), HalfInt(K), at_limit) == blocked_v(HalfInt(T), HalfInt(K), full)
         m, n = T // 2, K // 2
         assert breakdown(GridSpec(m, n), sieve(kernel_sieve_limit(m, n))) == breakdown(GridSpec(m, n), full)
 
@@ -188,8 +197,8 @@ def test_blocked_kernels_full_sieve_equals_limit_sieve():
 def test_blocked_kernels_share_one_tables_across_threads():
     t, k = 10**6, 1_234_567
     limit = kernel_sieve_limit(t, k)
-    expected = [v_blocked(t, k, sieve(limit)), u_blocked(t, k, sieve(limit)),
-                v_blocked(HalfInt(t - 1), HalfInt(k - 1), sieve(limit)),
+    expected = [blocked_v(t, k, sieve(limit)), blocked_u(t, k, sieve(limit)),
+                blocked_v(HalfInt(t - 1), HalfInt(k - 1), sieve(limit)),
                 weighted_mertens(k, sieve(limit))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -200,8 +209,8 @@ def test_blocked_kernels_share_one_tables_across_threads():
 
             def work() -> None:
                 try:
-                    results.append([v_blocked(t, k, tables), u_blocked(t, k, tables),
-                                    v_blocked(HalfInt(t - 1), HalfInt(k - 1), tables),
+                    results.append([blocked_v(t, k, tables), blocked_u(t, k, tables),
+                                    blocked_v(HalfInt(t - 1), HalfInt(k - 1), tables),
                                     weighted_mertens(k, tables)])
                 except Exception as exc:  # a half-built table or memo raises, e.g. KeyError
                     results.append(exc)
@@ -234,16 +243,46 @@ def test_kernel_sieve_limit_rule():
 
 def test_blocked_kernels_reject_bad_input():
     tables = sieve(10)
+    assert uv_blocked(-1, 5, tables) == (0, QuarterInt(0))
     with pytest.raises(ValueError):
-        u_blocked(-1, 5, tables)
+        blocked_v(HalfInt(-3), 5, tables)
     with pytest.raises(ValueError):
-        v_blocked(HalfInt(-3), 5, tables)
+        blocked_u(100, 100, tables)
     with pytest.raises(ValueError):
-        u_blocked(100, 100, tables)
-    with pytest.raises(ValueError):
-        v_blocked(100, 100, tables)
-    assert u_blocked(0, 10**12, tables) == 0
-    assert v_blocked(HalfInt(-1), 10**12, tables).quadrupled == 0
+        blocked_v(100, 100, tables)
+    assert blocked_u(0, 10**12, tables) == 0
+    assert blocked_v(HalfInt(-1), 10**12, tables).quadrupled == 0
+
+
+def test_kernel_refuses_a_side_past_int64(monkeypatch):
+    tiny = sieve(3)
+    built = []
+    original = numtheory._blocks
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numtheory, "_blocks", recording)
+    for side in (10**19, HalfInt(2 * 10**19 - 1)):
+        for args in ((side, 3), (3, side)):
+            with pytest.raises(CapacityError):
+                uv_blocked(*args, tiny)
+    assert built == []  # refused before any block is built
+    # the largest int64 side still runs: its first quotient plus one is 2^63
+    side = 2**63 - 1
+    assert uv_blocked(side, 3, tiny) == (u_mobius(side, 3, tiny), v_fast(side, 3, tiny))
+    half = HalfInt(2 * side - 1)
+    assert uv_blocked(half, 3, tiny) == (u_mobius(side, 3, tiny), v_fast(half, 3, tiny))
+
+
+def test_u_at_half_integer_arguments_is_u_at_the_ceilings():
+    tables = sieve(40)
+    u_at = [[u_naive(a, b) for b in range(41)] for a in range(41)]
+    for T in range(-2, 81):
+        for K in range(-2, 81):
+            ct, ck = max(0, -(-T // 2)), max(0, -(-K // 2))
+            assert uv_blocked(HalfInt(T), HalfInt(K), tables)[0] == u_at[ct][ck], (T, K)
 
 
 @given(st.lists(st.tuples(st.integers(-(2**62), 2**62), st.integers(-(2**62), 2**62)),
@@ -271,7 +310,7 @@ def test_linear_kernels_are_exact_past_int64():
     # 2A(5e9, 1) = 5e9 (1e10 + 2 - 5e9 - 1) passes 2^63
     assert 5 * 10**9 * (5 * 10**9 + 1) > 2**63
     for t in (10**12, 5 * 10**9):
-        assert v_fast(t, 3, tiny) == v_blocked(t, 3, tiny), t
+        assert v_fast(t, 3, tiny) == blocked_v(t, 3, tiny), t
 
 
 @given(st.integers(1, 300), st.integers(0, 10**8))
@@ -293,7 +332,7 @@ def test_blocks_of_a_skewed_pair_allocate_for_the_short_side():
     t = 10**14
     tracemalloc.start()
     try:
-        u, v = u_blocked(t, 3, tiny), v_blocked(t, 3, tiny)
+        u, v = blocked_u(t, 3, tiny), blocked_v(t, 3, tiny)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,9 +419,9 @@ def residue_passes(monkeypatch):
     checked("_dot_mod", inputs=True)
     original = numtheory._from_residues
 
-    def recording(bound, residue, *args):
-        counts.append(numtheory._primes_needed(bound))
-        return original(bound, residue, *args)
+    def recording(bounds, residue, *args):
+        counts.append(numtheory._primes_needed(max(bounds)))
+        return original(bounds, residue, *args)
 
     monkeypatch.setattr(numtheory, "_from_residues", recording)
     return counts
@@ -390,10 +429,10 @@ def residue_passes(monkeypatch):
 
 def _assert_kernels_equal_judge(T: int, K: int, tables) -> None:
     t, k = HalfInt(T), HalfInt(K)
-    assert v_blocked(t, k, tables) == v_by_python_ints(t, k, tables), (T, K)
+    assert blocked_v(t, k, tables) == v_by_python_ints(t, k, tables), (T, K)
     if T % 2 == 0 and K % 2 == 0 and min(T, K) >= 0:
         u_args = (T // 2, K // 2)
-        assert u_blocked(*u_args, tables) == u_by_python_ints(*u_args, tables), (T, K)
+        assert blocked_u(*u_args, tables) == u_by_python_ints(*u_args, tables), (T, K)
 
 
 def test_residue_kernels_equal_python_ints_on_every_small_pair(residue_passes):
@@ -470,15 +509,19 @@ def test_residues_reconstruct_every_integer_within_the_bound(step, side, data):
                             st.integers(-bound, bound)))
     asked = []
 
-    def residue(modulus: int) -> int:
+    def residue(modulus: int) -> tuple[int]:
         asked.append(modulus)
-        return x % modulus
+        return (x % modulus,)
 
-    assert numtheory._from_residues(bound, residue) == x
+    assert numtheory._from_residues((bound,), residue) == (x,)
     assert asked == [2**64, *_RESIDUE_PRIMES[:count]]
 
 
 def test_residues_outside_the_bound_are_refused():
     # the residues of bound + 1 are not those of any integer within the bound
     with pytest.raises(ArithmeticError):
-        numtheory._from_residues(2**63 - 1, lambda modulus: 2**63 % modulus)
+        numtheory._from_residues((2**63 - 1,), lambda modulus: (2**63 % modulus,))
+    # each value is held to its own bound, not to the largest
+    assert numtheory._from_residues((5, 2**63 - 1), lambda modulus: (5, 6)) == (5, 6)
+    with pytest.raises(ArithmeticError):
+        numtheory._from_residues((5, 2**63 - 1), lambda modulus: (6, 5))

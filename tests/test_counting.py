@@ -26,6 +26,7 @@ from gridthresh import (
     v_fast,
     v_naive,
 )
+from gridthresh import numtheory, residual_sweep
 from gridthresh.numtheory import HalfInt
 
 TABLES = sieve(256)
@@ -200,3 +201,29 @@ def test_sequence_kernel_small_values_and_bounds():
         count_p_sequence(0, tables)
     with pytest.raises(ValueError):
         count_p_sequence(7, tables)
+
+
+def test_blocks_are_built_once_per_argument_pair(monkeypatch):
+    built = []
+    original = numtheory._blocks
+
+    def recording(ct, ck, tables):
+        built.append((ct, ck))
+        return original(ct, ck, tables)
+
+    monkeypatch.setattr(numtheory, "_blocks", recording)
+
+    def blocks_built(run) -> list:
+        built.clear()
+        run()
+        return list(built)
+
+    # U(m, n) and 4V(m, n) share one set of blocks; the half pair has its own
+    assert blocks_built(lambda: breakdown(GridSpec(30, 12), TABLES)) == [(30, 12), (15, 6)]
+    assert blocks_built(lambda: breakdown(GridSpec(255, 200), TABLES)) == [(255, 200), (127, 100)]
+    # a degenerate grid's sums are empty, so it builds no blocks
+    assert blocks_built(lambda: breakdown(GridSpec(30, 0), TABLES)) == []
+    assert blocks_built(lambda: count_total(GridSpec(30, 12), TABLES)) == [(30, 12)]
+    pairs = [(16, 16), (32, 32), (1000, 1), (3000, 1), (1000, 2), (3000, 2)]
+    assert blocks_built(lambda: residual_sweep(TABLES, square_ks=(16, 32), aniso_ns=(1, 2),
+                                               aniso_ms=(1000, 3000))) == pairs
