@@ -23,8 +23,9 @@ the unstable formula, |F| = N/2 - 1 and stable = |F| - unstable, which
 expands to the stable formula above; count_stable and count_unstable
 read their values from that assembly, and count_total makes the one
 call at (m, n) alone.  The tables need only reach kernel_sieve_limit(m,
-n); the half-argument blocks floor(m/(2q)) lie inside m's, so both calls
-of one breakdown share one memo of weighted Mertens sums.
+n); the half-argument block ends floor(m/(2q)) lie among m's, so the
+second call of a breakdown finds every weighted Mertens sum it reads
+already recorded by the first.
 
 All counts are exact Python integers; V flows through the quadrupled
 integer representation so the 2V/4V/8V consumers never see a rational.

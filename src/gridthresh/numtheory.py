@@ -33,12 +33,16 @@ O(sqrt(t) + sqrt(k)) blocks on which floor(ceil(t)/d) and floor(ceil(k)/d)
 are both constant, and returns U and 4V of one argument pair from one set
 of blocks.  On a block 2A is linear in d, so a block contributes a
 quadratic in d and needs only the differences of M_0, M_1, M_2 at its
-ends; U is the M_0 term.  Those sums come from prefix sums over mu up to
-the sieve limit, and above it from the Dirichlet identity
-sum_{d<=x} d^j M_j(x // d) = 1, memoised per NTTables (Deleglise &
-Rivat, Exp. Math. 1996).  So the kernel needs a sieve only to
+ends; U is the M_0 term.  Those sums are recorded per NTTables at the
+block ends alone, O(sqrt(t) + sqrt(k)) points closed under x -> x // q,
+never over the whole sieve.  The points within the sieve limit take one
+chunked pass over mu, summed between points by np.add.reduceat; those
+above it come from the Dirichlet identity sum_{d<=x} d^j M_j(x // d) = 1
+(Deleglise & Rivat, Exp. Math. 1996), evaluated for groups of points at
+once.  So the kernel needs a sieve only to
 kernel_sieve_limit(t, k) = min(D, ceil(8 K^(2/3))), with D and K the
-shorter and longer ceil argument, not to D.  Its block sums run on
+shorter and longer ceil argument, not to D, and holds nothing of the
+sieve's length but mu.  Its block sums run on
 uint64 arrays in one pass per modulus, once mod 2^64 and once mod each
 of as many 32-bit primes as the larger proven bound needs, and the
 Chinese remainder theorem joins the residues of U and of 4V into the
@@ -79,6 +83,17 @@ KERNEL_SIEVE_C = 8
 # int64 arithmetic is used only where a checked bound keeps every value
 # below this; past it the same expression runs on Python ints
 _INT64_SAFE = 2**62
+
+# The Mertens layer works in vectorised steps of at most this many terms: a
+# chunk of the pass over mu, or a group of points of the batched recursion
+# (a point with more terms is a group of its own, as every point from 10^9
+# up is, with about 2 isqrt(x) > 2^16 terms: no group there holds more than
+# one point's arrays).  Measured on 2 shared vCPUs: a breakdown of
+# 10^6 x 8*10^6 on a fresh sieve to 320 000 took 6.3-9.3 ms (best of 15)
+# at every span from 2^14 to 2^18, while its tracemalloc peak grew from
+# 1.3 to 6.7 MB; count_p(10^9) without its sieve took about 760 ms at 2^12
+# and 570-680 ms from 2^15 up (best of 3).  2^16 peaks at 2.1 MB.
+_SPAN = 2**16
 
 # The block sums run once mod 2^64 and then once mod each of these primes,
 # the six largest below 2^32, as far as their bound needs.  _CRT_MODULI[c]
@@ -162,23 +177,42 @@ class QuarterInt:
         return f"QuarterInt({self.quadrupled}/4)"
 
 
+@dataclass(frozen=True)
+class _Recorded:
+    """Weighted Mertens sums at the points recorded so far; never changed once published.
+
+    ``values[:, i]`` is (M_0, M_1, M_2) at ``points[i]``, the sorted points
+    within the sieve limit: int64, or Python ints once a value may leave
+    int64.  ``above`` holds the points past the limit, from the recursion.
+    The defaults are the empty record.
+    """
+
+    points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    values: np.ndarray = field(default_factory=lambda: np.zeros((3, 0), dtype=np.int64))
+    above: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+
+
 @dataclass(frozen=True, eq=False)
 class NTTables:
     """Arithmetic tables up to ``limit``, each built on first access.
 
     mu (which :func:`sieve` builds eagerly), phi, Phi (the cumulative
-    totient), ``psi_float`` (Psi in float64) and the weighted Mertens
-    prefix sums are each built once, from what they derive from: Phi and
-    ``psi_float`` from phi, the prefix sums from mu.  A caller that reads
-    only phi therefore builds only phi.  Exact Psi is exposed through
+    totient) and ``psi_float`` (Psi in float64) are each built once, from
+    what they derive from: Phi and ``psi_float`` from phi.  A caller that
+    reads only phi therefore builds only phi.  Exact Psi is exposed through
     :meth:`psi` as a Fraction, its prefix extended on demand (an eager
     array of exact Psi values is impossible at large limits: the reduced
-    denominator of Psi(k) grows like lcm(1..k)).  Weighted Mertens values
-    above the prefix are memoised here by the blocked kernel.  Arrays are
-    indexed 1..limit (index 0 is a zero sentinel) and read-only.  Every
-    lazy build, every extension of the Psi prefix and every memo fill
-    happens under one per-instance re-entrant lock, so a single instance
-    is safe to share across threads.
+    denominator of Psi(k) grows like lcm(1..k)).  Arrays are indexed
+    1..limit (index 0 is a zero sentinel) and read-only.
+
+    The weighted Mertens sums M_j are not tabled over 1..limit: they are
+    recorded only at the points the blocked kernel reads, O(sqrt) of them
+    per argument pair.  Missing points within the limit are filled by one
+    chunked pass over mu, those past it by the batched Dirichlet recursion,
+    and the new record is published whole.  Every lazy build, every
+    extension of the Psi prefix and every Mertens record happens under one
+    per-instance re-entrant lock, so a single instance is safe to share
+    across threads.
     """
 
     limit: int
@@ -186,7 +220,6 @@ class NTTables:
     _sieved: dict[str, Any] = field(default_factory=dict, repr=False)
     _totients: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _psi_cache: list[Fraction] = field(default_factory=lambda: [Fraction(0)], repr=False)
-    _mertens_memo: dict[int, tuple[int, int, int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.limit < 1:
@@ -227,28 +260,53 @@ class NTTables:
 
         return self._lazy(self._totients, "psi_float", build)
 
-    @property
-    def mertens_prefix(self) -> np.ndarray:
-        """Rows M_0, M_1, M_2 at x = 0..top as int64, built on first access.
+    def _mertens_at(self, xs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """M_j at ascending int64 xs >= 1, recording the points not yet recorded.
 
-        top is the limit, unless M_2 would leave int64 below it (see
-        _mertens_prefix); weighted_mertens covers every x either way.
+        Returns (M_0, M_1, M_2) as a (3, s) array for the s xs within the
+        limit, and as triples for the xs past it.  xs must be closed under
+        x -> x // q (as _block_ends makes them), so that every value the
+        recursion reads is recorded with them.
         """
-        return self._lazy(self._sieved, "mertens", lambda: _mertens_prefix(self.mu))
+        low = xs[: int(np.searchsorted(xs, self.limit, side="right"))]
+        high = xs[len(low):].tolist()
+        record = self._sieved.get("mertens") or _Recorded()
+        at, found = _lookup(record, low)
+        if not found.all() or any(x not in record.above for x in high):
+            with self._lock:
+                record = self._record(low, high)
+            at, _ = _lookup(record, low)
+        return record.values.take(at, axis=1), [record.above[x] for x in high]
 
-    def _mertens_above(self, xs: list[int]) -> list[tuple[int, int, int]]:
-        """(M_0, M_1, M_2) at ascending xs above the prefix, memoised.
+    def _record(self, low: np.ndarray, high: list[int]) -> _Recorded:
+        """The record with every point of low and high in it; call under the lock.
 
-        xs must be closed under x -> x // q above the prefix, so that every
-        value the recursion reads is memoised before it is needed.
+        The points within the limit are summed by one pass over mu, the
+        rest by the recursion, which reads them; the extended record is
+        published only once it is whole.
         """
-        prefix = self.mertens_prefix
-        with self._lock:
-            memo = self._mertens_memo
-            for x in xs:
-                if x not in memo:
-                    memo[x] = _mertens_recurse(x, prefix, memo)
-            return [memo[x] for x in xs]
+        record = self._sieved.get("mertens") or _Recorded()
+        found = _lookup(record, low)[1]
+        high = sorted({x for x in high if x not in record.above})
+        if high and math.isqrt(high[-1]) > self.limit:
+            raise CapacityError(f"M_j({high[-1]}) needs the sieve to reach "
+                                f"{math.isqrt(high[-1])}, it stops at {self.limit}")
+        if not found.all():
+            points = low[~found]  # sorted; keep the first of each repeated end
+            points = points[np.concatenate(([True], points[1:] != points[:-1]))]
+            values = _mertens_pass(self.mu, points)
+            if len(record.points):
+                points = np.concatenate((record.points, points))
+                order = np.argsort(points, kind="stable")
+                points = points[order]
+                values = np.concatenate((record.values, values), axis=1)[:, order]
+            record = _Recorded(_read_only(points), _read_only(values), record.above)
+        if high:
+            above = dict(record.above)
+            _mertens_recurse(high, self.limit, record.points, record.values, above)
+            record = _Recorded(record.points, record.values, above)
+        self._sieved["mertens"] = record
+        return record
 
     def psi(self, k: int) -> Fraction:
         """Exact Psi(k) = sum_{i<=k} phi(i)/i."""
@@ -268,6 +326,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _lookup(record: _Recorded, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of the sorted xs sits in record.points, and whether it is recorded."""
+    at = np.searchsorted(record.points, xs)
+    if not len(record.points):
+        return at, np.zeros(len(xs), dtype=bool)
+    return at, record.points.take(at, mode="clip") == xs
+
+
 def _small_primes(root: int) -> Iterator[int]:
     """The primes <= root, by an Eratosthenes pass over a boolean array."""
     composite = np.zeros(root + 1, dtype=bool)
@@ -284,8 +350,8 @@ def sieve(limit: int) -> NTTables:
     zeroes it at the multiples of p^2, and multiplies p into ``rad``, the
     product of the distinct small primes of each index.  A squarefree index
     larger than its rad has exactly one prime factor > sqrt(limit), which
-    flips its sign once more in a single vector pass.  Takes about 30 ms
-    at limit = 10^6 and 0.4 s at 10^7 (best of 7, 2 shared vCPUs).
+    flips its sign once more in a single vector pass.  Takes about 17 ms
+    at limit = 10^6 and 0.35 s at 10^7 (best of 7, 2 shared vCPUs).
     """
     tables = NTTables(limit)
     tables.mu  # noqa: B018  (sieve now, not on first use)
@@ -301,7 +367,8 @@ def _mu_table(n: int) -> np.ndarray:
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         rad[p::p] *= p
-    mu[rad != np.arange(n + 1, dtype=dtype)] *= -1
+    # a factor of -1 where rad < index, with no boolean scatter
+    mu *= 1 - 2 * (rad != np.arange(n + 1, dtype=dtype)).view(np.int8)
     mu[0] = 0
     return _read_only(mu)
 
@@ -323,8 +390,8 @@ def _phi_table(n: int) -> np.ndarray:
             small[pk::pk] *= p
             pk *= p
     cofactor = np.arange(n + 1, dtype=np.int64) // small
-    big = cofactor > 1  # exactly one prime factor > sqrt(n) remains
-    phi[big] *= cofactor[big] - 1
+    # a cofactor above 1 is the one prime factor > sqrt(n)
+    phi *= np.where(cofactor > 1, cofactor - 1, 1)
     phi[0] = 0
     return _read_only(phi)
 
@@ -462,7 +529,7 @@ def kernel_sieve_limit(t: int, k: int) -> int:
     min(D, ceil(KERNEL_SIEVE_C * K^(2/3))) with D = min(t, k) and
     K = max(t, k), in integer arithmetic, and at least 1.  The block ends
     above the limit are the values t // q and k // q in (limit, D]; the
-    memoised recursion fills M_j there at a cost of about (t + k) /
+    recursion records M_j there at a cost of about (t + k) /
     sqrt(limit), against the sieve's O(limit), so the limit follows the
     long side and stops at the short one.  For a square of side D up to
     512 it is D itself.
@@ -494,52 +561,60 @@ def _as_exact(a: np.ndarray, bound: int) -> np.ndarray:
     return a if bound < _INT64_SAFE else a.astype(object)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum(a * b).
+def _int64_exact(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every product and partial sum of a * b provably stays below 2^62.
 
-    For int64 a and b the float64 sum of |a * b| bounds every product and
-    partial sum (its relative error is below 1e-6 at any feasible length);
-    below 2^62 the int64 dot is exact, otherwise it runs on Python ints.
+    For int64 a and b the float64 sum of |a * b| bounds them all (its
+    relative error is below 1e-6 at any feasible length).
     """
-    if a.dtype != object and b.dtype != object:
-        bound = np.abs(a, dtype=np.float64) @ np.abs(b, dtype=np.float64)
-        if bound < _INT64_SAFE:
-            return int(a @ b)
+    return (a.dtype != object and b.dtype != object
+            and np.abs(a, dtype=np.float64) @ np.abs(b, dtype=np.float64) < _INT64_SAFE)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum(a * b): in int64 where _int64_exact proves it, otherwise in Python ints."""
+    if _int64_exact(a, b):
+        return int(a @ b)
     return int(a.astype(object) @ b.astype(object))
 
 
-def _mertens_prefix(mu: np.ndarray) -> np.ndarray:
-    """M[j, x] = M_j(x) = sum_{d<=x} d^j mu(d) for j = 0, 1, 2, x = 0..top, int64.
+def _mertens_pass(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(M_0, M_1, M_2) at sorted distinct points 1 <= x < len(mu), as (3, n) values.
 
-    Summed in chunks short enough that no in-chunk partial sum reaches
-    2^62 (each term is at most limit^2).  A chunk's running offset is added
-    only where the prefix provably stays below 2^62: by the static bound
-    len * d_max^2 when that suffices, otherwise by the chunk's actual
-    extremes, checked in Python ints.  The table ends before the first
-    chunk that fails, so top < limit only where M_2 itself outgrows int64
-    (around limit ~ 10^8); the recursion covers everything above top.
+    One pass over mu up to the last point, in chunks of at most _SPAN
+    terms d^j mu(d), short enough that no in-chunk sum reaches 2^62: each
+    term is at most top^2, so a chunk of 2^62 // top^2 terms is safe.
+    np.add.reduceat sums each chunk between consecutive points, and the
+    running totals are added at the points only.  They stay int64 while
+    they provably stay below 2^62, by the static bound
+    sum_{d<hi} d^2 < hi^3 when that suffices and by their actual extremes
+    otherwise; past that they are Python ints, so only the values at the
+    points leave int64, never a chunk.
     """
-    n = len(mu) - 1
-    if n >= 2**31:
-        raise CapacityError(f"weighted Mertens prefix past 2^31 (limit {n})")
-    step = max(1, _INT64_SAFE // max(1, n * n))
-    prefix = np.empty((3, n + 1), dtype=np.int64)
-    offset = np.zeros((3, 1), dtype=np.int64)
-    for lo in range(0, n + 1, step):
-        hi = min(lo + step, n + 1)
+    top = int(points[-1])
+    step = min(_SPAN, max(1, _INT64_SAFE // (top * top)))
+    total = np.zeros((3, 1), dtype=np.int64)
+    parts = []
+    for lo in range(1, top + 1, step):
+        hi = min(lo + step, top + 1)
+        # segments start at lo and one past each point short of hi - 1
+        first, inner, last = np.searchsorted(points, (lo, hi - 1, hi))
+        starts = np.concatenate(([0], points[first:inner] - (lo - 1)))
         d = np.arange(lo, hi, dtype=np.int64)
-        chunk = prefix[:, lo:hi]
-        chunk[0] = mu[lo:hi]
-        chunk[1] = chunk[0] * d
-        chunk[2] = chunk[1] * d
-        np.cumsum(chunk, axis=1, out=chunk)
-        reach = int(np.abs(offset).max())
-        if reach + (hi - lo) * (hi - 1) ** 2 >= _INT64_SAFE:
-            if reach + int(np.abs(chunk).max()) >= _INT64_SAFE:
-                return _read_only(prefix[:, :lo].copy())
-        chunk += offset
-        offset = chunk[:, -1:].copy()
-    return _read_only(prefix)
+        m0 = mu[lo:hi]
+        m1 = m0 * d
+        sums = np.empty((3, len(starts)), dtype=np.int64)
+        np.add.reduceat(m0, starts, dtype=np.int64, out=sums[0])
+        np.add.reduceat(m1, starts, out=sums[1])
+        np.add.reduceat(m1 * d, starts, out=sums[2])
+        np.cumsum(sums, axis=1, out=sums)  # at each point, then the chunk's total
+        if total.dtype != object and hi**3 >= _INT64_SAFE:
+            if int(np.abs(total).max()) + int(np.abs(sums).max()) >= _INT64_SAFE:
+                total = total.astype(object)
+        if last > first:
+            parts.append(total + sums[:, : last - first])
+        total = total + sums[:, -1:]
+    return np.concatenate(parts, axis=1)
 
 
 def _power_sum(n: np.ndarray, j: int, top: int) -> np.ndarray:
@@ -553,67 +628,120 @@ def _power_sum(n: np.ndarray, j: int, top: int) -> np.ndarray:
     return n * (n + 1) * (2 * n + 1) // 6
 
 
-def _mertens_recurse(x: int, prefix: np.ndarray,
-                     memo: dict[int, tuple[int, int, int]]) -> tuple[int, int, int]:
-    """(M_0, M_1, M_2) at x above the prefix, from sum_{d<=x} d^j M_j(x // d) = 1.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lengths[i] - 1, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(starts - offsets, lengths)
 
-    The d <= r = isqrt(x) are summed one by one: x // d above the prefix
-    is read from the memo (d <= x // (top + 1)), the rest from the prefix.
-    The d > r are grouped by v = x // d <= r, each group weighted by the
-    power sums over its range of d (Deleglise & Rivat, Exp. Math. 1996).
+
+def _segment_dots(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> list[int]:
+    """Exact sum(a * b) over consecutive segments of the given lengths, as Python ints.
+
+    In int64 where _int64_exact proves it over all segments, otherwise in
+    Python ints.
     """
-    top = prefix.shape[1] - 1
-    r = math.isqrt(x)
-    if r > top:
-        raise CapacityError(f"M_j({x}) needs the prefix to reach {r}, it stops at {top}")
-    n_memo = min(r, x // (top + 1))
-    d = np.arange(n_memo + 1, r + 1, dtype=np.int64)
-    at_y = prefix[:, x // d]
-    v = np.arange(1, x // (r + 1) + 1, dtype=np.int64)
-    at_v = prefix[:, v]
-    upper, lower = x // v, np.maximum(x // (v + 1), r)
+    if not _int64_exact(a, b):
+        a, b = a.astype(object), b.astype(object)
+    sums = np.zeros(len(lengths), dtype=a.dtype)
+    filled = lengths > 0
+    if filled.any():
+        sums[filled] = np.add.reduceat(a * b, (np.cumsum(lengths) - lengths)[filled])
+    return sums.tolist()
+
+
+def _mertens_recurse(xs: list[int], limit: int, points: np.ndarray, values: np.ndarray,
+                     above: dict[int, tuple[int, int, int]]) -> None:
+    """Record (M_0, M_1, M_2) at ascending xs past ``limit`` in ``above``.
+
+    From sum_{d<=x} d^j M_j(x // d) = 1, split at r = isqrt(x) <= limit
+    (Deleglise & Rivat, Exp. Math. 1996).  The d <= n = x // (limit + 1)
+    read x // d past the limit from ``above``; the d in (n, r] read x // d
+    from the recorded points; the d > r are grouped by v = x // d <= r,
+    each v weighted by the power sums over its range of d.  The terms from
+    the recorded points are built for a group of xs at once (np.repeat
+    offsets and one searchsorted) and summed per x with reduceat, a group
+    holding at most _SPAN of them unless one x alone has more.  The few
+    terms from ``above`` follow in a Python loop in ascending x, so each
+    x // q is recorded before it is read.  points must hold every x // d
+    and v that is read.
+    """
+    roots = [math.isqrt(x) for x in xs]
+    start = size = 0
+    for i, (x, r) in enumerate(zip(xs, roots)):
+        terms = r - min(r, x // (limit + 1)) + x // (r + 1)
+        if i > start and size + terms > _SPAN:
+            _recurse_group(xs[start:i], roots[start:i], limit, points, values, above)
+            start, size = i, 0
+        size += terms
+    _recurse_group(xs[start:], roots[start:], limit, points, values, above)
+
+
+def _recurse_group(xs: list[int], roots: list[int], limit: int, points: np.ndarray,
+                   values: np.ndarray, above: dict[int, tuple[int, int, int]]) -> None:
+    """One group of _mertens_recurse: xs with their isqrt ``roots``."""
+    x, r = np.array(xs, dtype=np.int64), np.array(roots, dtype=np.int64)
+    n = np.minimum(r, x // (limit + 1))
+    n_d, n_v = r - n, x // (r + 1)
+    d = _ranges(n + 1, n_d)
+    # v = 1 .. n_v then one more per x, whose bound x // v is cut to r: the
+    # range of d of each v is (bounds after it, its bounds], and d > r
+    v = _ranges(np.ones_like(x), n_v + 1)
+    bounds = np.maximum(np.repeat(x, n_v + 1) // v, np.repeat(r, n_v + 1))
+    inner = np.ones(len(v), dtype=bool)
+    inner[np.cumsum(n_v + 1) - 1] = False
+    at = values.take(np.searchsorted(points, np.concatenate((np.repeat(x, n_d) // d, v[inner]))),
+                     axis=1)
+    top = int(x[-1])
     d_powers = (np.ones_like(d), d, d * d)
     sums = []
     for j in range(3):
-        s = sum(q**j * memo[x // q][j] for q in range(2, n_memo + 1))
-        s += _dot(d_powers[j], at_y[j])
-        s += _dot(at_v[j], _power_sum(upper, j, x) - _power_sum(lower, j, x))
-        sums.append(1 - s)
-    return sums[0], sums[1], sums[2]
+        power = _power_sum(bounds, j, top)
+        weights = (power[:-1] - power[1:])[inner[:-1]]
+        sums.append([s + w for s, w in zip(_segment_dots(d_powers[j], at[j, : len(d)], n_d),
+                                           _segment_dots(at[j, len(d):], weights, n_v))])
+    for k, (y, n_y) in enumerate(zip(xs, n.tolist())):
+        s0, s1, s2 = sums[0][k], sums[1][k], sums[2][k]
+        for q in range(2, n_y + 1):
+            m0, m1, m2 = above[y // q]
+            s0 += m0
+            s1 += q * m1
+            s2 += q * q * m2
+        above[y] = (1 - s0, 1 - s1, 1 - s2)
 
 
 def weighted_mertens(x: int, tables: NTTables) -> tuple[int, int, int]:
     """(M_0(x), M_1(x), M_2(x)) with M_j(x) = sum_{d<=x} d^j mu(d), exact.
 
-    From the prefix sums when x is within them, otherwise from the
-    memoised Dirichlet recursion, which needs sqrt(x) within the prefix.
+    Records x with its quotient points in ``tables``, through the generator
+    of the kernel's block ends: by one pass over mu within the sieve limit,
+    and past it by the batched Dirichlet recursion, which needs isqrt(x)
+    within the limit (CapacityError otherwise, before anything is built).
     """
     if x < 0:
         raise ValueError(f"M_j is defined for x >= 0, got {x}")
-    prefix = tables.mertens_prefix
-    top = prefix.shape[1] - 1
-    if x <= top:
-        m0, m1, m2 = prefix[:, x].tolist()
-        return m0, m1, m2
-    # the hierarchy x // q above the prefix, closed under x -> x // q
-    hierarchy = np.unique(x // np.arange(1, x // (top + 1) + 1, dtype=np.int64))
-    return tables._mertens_above(hierarchy.tolist())[-1]
+    if x == 0:
+        return 0, 0, 0
+    if math.isqrt(x) > tables.limit:
+        raise CapacityError(f"M_j({x}) needs the sieve to reach {math.isqrt(x)}, "
+                            f"it stops at {tables.limit}")
+    low, high = tables._mertens_at(_block_ends(x, x))  # x is the last end
+    if high:
+        return high[-1]
+    m0, m1, m2 = low[:, -1].tolist()
+    return m0, m1, m2
 
 
-def _blocks(ct: int, ck: int, tables: NTTables
-            ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """Ends of blocks of d <= top = min(ct, ck) and, per block, the sums of d^j mu(d).
+def _block_ends(ct: int, ck: int) -> np.ndarray:
+    """Ends of the blocks of d <= top = min(ct, ck), sorted, as int64.
 
-    The ends are every d <= min(top, isqrt(max(ct, ck))) and, when that
-    stops short of top, the values n // q <= top for n = ct, ck and
-    q <= isqrt(n), sorted; no q with n // q > top is generated, so memory
-    follows the blocks.  That includes every point where ct // d or
-    ck // d changes, so both are constant on each block (a repeated end is
-    an empty block), and the ends above isqrt(max(ct, ck)) are quotients
-    of ct or ck, closed under x -> x // q as the memoised recursion
-    needs.  The sums come in two
-    parts: int64 rows j = 0, 1, 2 for the blocks that end within the
-    Mertens prefix, and Python-int triples for the blocks after them.
+    Every d <= min(top, isqrt(max(ct, ck))) and, when that stops short of
+    top, the values n // q <= top for n = ct, ck and q <= isqrt(n); no q
+    with n // q > top is generated, so memory follows the blocks.  That
+    includes every point where ct // d or ck // d changes, so both are
+    constant on each block (a repeated end is an empty block).  The ends
+    are closed under x -> x // q, as the Mertens recursion needs: a
+    quotient of a quotient of n is a quotient of n, and one at or below
+    isqrt(n) is among the first ends.
     """
     top = min(ct, ck)
     root_t, root_k = math.isqrt(ct), math.isqrt(ck)
@@ -622,18 +750,26 @@ def _blocks(ct: int, ck: int, tables: NTTables
         ends = np.sort(np.concatenate((
             ends, ct // np.arange(ct // (top + 1) + 1, root_t + 1, dtype=np.int64),
             ck // np.arange(ck // (top + 1) + 1, root_k + 1, dtype=np.int64))))
-    prefix = tables.mertens_prefix
-    stored = prefix.shape[1] - 1
-    # the last end is top itself (top // 1)
-    split = len(ends) if top <= stored else int(np.searchsorted(ends, stored, side="right"))
-    low = prefix.take(ends[:split], axis=1)
-    low[:, 1:] = low[:, 1:] - low[:, :-1]
+    return ends
+
+
+def _blocks(ct: int, ck: int, tables: NTTables
+            ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """Block ends (see _block_ends) and, per block, the sums of d^j mu(d).
+
+    The sums are differences of M_j at consecutive ends, read from the
+    points ``tables`` records.  They come in two parts: rows j = 0, 1, 2
+    for the blocks that end within the sieve limit (int64 while the
+    recorded values are), and Python-int triples for the blocks after them.
+    """
+    ends = _block_ends(ct, ck)
+    low, above = tables._mertens_at(ends)
+    before = low[:, -1].tolist()
+    low[:, 1:] = low[:, 1:] - low[:, :-1]  # ends[0] = 1 is within every limit
     high = []
-    if split < len(ends):
-        before = prefix[:, ends[split - 1]].tolist()  # ends[0] = 1 is always stored
-        for at in tables._mertens_above(ends[split:].tolist()):
-            high.append((at[0] - before[0], at[1] - before[1], at[2] - before[2]))
-            before = at
+    for after in above:
+        high.append((after[0] - before[0], after[1] - before[1], after[2] - before[2]))
+        before = after
     return ends, low, high
 
 
@@ -645,8 +781,10 @@ def _blocks(ct: int, ck: int, tables: NTTables
 # Python int too).
 
 def _residues(a: np.ndarray, modulus: int) -> np.ndarray:
-    """int64 ``a`` as uint64 residues: its bits mod 2^64, otherwise a % modulus."""
-    return a.view(np.uint64) if modulus == _WRAP else (a % modulus).astype(np.uint64)
+    """int64 or Python-int ``a`` as uint64 residues: int64 bits mod 2^64, otherwise a % modulus."""
+    if modulus == _WRAP and a.dtype != object:
+        return a.view(np.uint64)
+    return (a % modulus).astype(np.uint64)
 
 
 def _block_moments(low: np.ndarray, high: list[tuple[int, int, int]],

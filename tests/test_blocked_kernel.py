@@ -29,6 +29,7 @@ from gridthresh import (
     QuarterInt,
     breakdown,
     count_p,
+    count_total,
     kernel_sieve_limit,
     sieve,
     u_mobius,
@@ -46,9 +47,12 @@ from gridthresh.numtheory import (
     _RESIDUE_PRIMES,
     KERNEL_SIEVE_C,
     _as_exact,
+    _SPAN,
+    _block_ends,
     _blocks,
     _dot,
-    _mertens_prefix,
+    _mertens_pass,
+    _power_sum,
     _v_prepare,
 )
 
@@ -133,17 +137,16 @@ def test_weighted_mertens_recursion_equals_prefix_sums():
         weighted_mertens(-1, small)
 
 
-def test_mertens_prefix_stops_before_int64_overflow():
+def test_mertens_pass_is_exact_past_int64():
     # with mu = 1 everywhere M_2(x) = x(x+1)(2x+1)/6 passes 2^62 near x = 2.4e6
     n = 3_100_000
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    prefix = _mertens_prefix(mu)
-    top = prefix.shape[1] - 1
-    assert 1_500_000 < top < 2_400_000
-    for x in (1, 1000, top // 2, top):
-        assert prefix[:, x].tolist() == [x, x * (x + 1) // 2, x * (x + 1) * (2 * x + 1) // 6]
-    assert top * (top + 1) * (2 * top + 1) // 6 < 2**62
+    points = np.array([1, 1000, 1_200_000, 2_400_000, 2_500_000, 2_750_000, n], dtype=np.int64)
+    values = _mertens_pass(mu, points)
+    for x, got in zip(points.tolist(), values.T.tolist()):
+        assert got == [x, x * (x + 1) // 2, x * (x + 1) * (2 * x + 1) // 6], x
+    assert all(x * (x + 1) * (2 * x + 1) // 6 > 2**62 for x in points[-3:].tolist())
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +331,7 @@ def test_block_ends_follow_the_short_side(tables512, short, extra):
 
 def test_blocks_of_a_skewed_pair_allocate_for_the_short_side():
     tiny = sieve(3)
-    tiny.mertens_prefix  # noqa: B018  (built before the measurement)
+    weighted_mertens(tiny.limit, tiny)  # records its points before the measurement
     t = 10**14
     tracemalloc.start()
     try:
@@ -339,6 +342,120 @@ def test_blocks_of_a_skewed_pair_allocate_for_the_short_side():
     assert peak < 2**20
     assert u == u_mobius(t, 3, tiny)
     assert v == v_fast(t, 3, tiny)
+
+
+# -- the recorded Mertens points against dense prefix sums ------------------
+
+def dense_mertens(mu: np.ndarray) -> np.ndarray:
+    """M_j(x) for j = 0, 1, 2 and every x = 0..len(mu) - 1, by np.cumsum in Python ints."""
+    d = np.arange(len(mu), dtype=object)
+    m = mu.astype(object)
+    return np.stack([np.cumsum(m), np.cumsum(m * d), np.cumsum(m * d * d)])
+
+
+def mertens_recurse_per_point(x: int, prefix: np.ndarray, memo: dict) -> tuple[int, int, int]:
+    """(M_0, M_1, M_2) at x above a dense prefix, one point at a time.
+
+    The recursion as the kernel ran it before it was batched: the d <= r =
+    isqrt(x) one by one, x // d above the prefix from the memo
+    (d <= x // (top + 1)), the rest from the prefix; the d > r grouped by
+    v = x // d <= r, each group weighted by the power sums over its range.
+    """
+    top = prefix.shape[1] - 1
+    r = math.isqrt(x)
+    assert r <= top
+    n_memo = min(r, x // (top + 1))
+    d = np.arange(n_memo + 1, r + 1, dtype=np.int64)
+    at_y = prefix[:, x // d]
+    v = np.arange(1, x // (r + 1) + 1, dtype=np.int64)
+    at_v = prefix[:, v]
+    upper, lower = x // v, np.maximum(x // (v + 1), r)
+    d_powers = (np.ones_like(d), d, d * d)
+    sums = []
+    for j in range(3):
+        s = sum(q**j * memo[x // q][j] for q in range(2, n_memo + 1))
+        s += _dot(d_powers[j], at_y[j])
+        s += _dot(at_v[j], _power_sum(upper, j, x) - _power_sum(lower, j, x))
+        sums.append(1 - s)
+    return sums[0], sums[1], sums[2]
+
+
+def test_mertens_pass_equals_dense_prefix_at_every_block_end():
+    limit = 300_000
+    tables = sieve(limit)
+    dense = dense_mertens(tables.mu)
+    rng = random.Random(RANDOM_SEED + 5)
+    # the pass runs in chunks of _SPAN from d = 1: ends on both sides of
+    # its first boundaries, then seeded pairs, some past the limit
+    pairs = [(_SPAN, _SPAN), (_SPAN + 1, _SPAN + 1), (2 * _SPAN, 3 * _SPAN + 1)]
+    while len(pairs) < 200:
+        short = rng.randrange(1, limit + 1)
+        pairs.append((short, short + rng.randrange(0, 50 * short)))
+    for i, (ct, ck) in enumerate(pairs):
+        ends = _block_ends(ct, ck)
+        low = ends[ends <= limit]
+        # one tables records every pair in turn; a fresh one starts empty
+        for recorder in (tables, sieve(limit)) if i % 10 == 0 else (tables,):
+            at, _ = recorder._mertens_at(ends)
+            assert at.tolist() == dense[:, low].tolist(), (ct, ck)
+    boundaries = np.array([1, _SPAN - 1, _SPAN, _SPAN + 1, 2 * _SPAN, 2 * _SPAN + 1, limit],
+                          dtype=np.int64)
+    assert _mertens_pass(tables.mu, boundaries).tolist() == dense[:, boundaries].tolist()
+
+
+@pytest.mark.parametrize("top", [10**5, 10**6, 10**7, 10**8])
+def test_batched_recursion_equals_the_per_point_recursion(top):
+    rng = random.Random(RANDOM_SEED + 6 + top)
+    limit = kernel_sieve_limit(top, top)
+    tables = sieve(limit)
+    prefix = dense_mertens(tables.mu)
+    memo: dict = {}
+    pairs = [(top, top)] + [(rng.randrange(limit + 1, top + 1), rng.randrange(limit + 1, top + 1))
+                            for _ in range(3)]
+    for ct, ck in pairs:
+        ends = _block_ends(ct, ck)
+        high = ends[ends > limit].tolist()
+        assert high
+        for x in sorted(set(high)):
+            if x not in memo:
+                memo[x] = mertens_recurse_per_point(x, prefix, memo)
+        assert tables._mertens_at(ends)[1] == [memo[x] for x in high], (ct, ck)
+    assert weighted_mertens(top, tables) == memo[top]
+
+
+def test_a_breakdown_makes_one_pass_over_mu(monkeypatch):
+    passes = []
+    original = numtheory._mertens_pass
+
+    def recording(mu, points):
+        passes.append(len(points))
+        return original(mu, points)
+
+    monkeypatch.setattr(numtheory, "_mertens_pass", recording)
+    for m, n in [(30, 12), (1000, 3000), (10**6, 8 * 10**6), (8 * 10**6 + 1, 10**6)]:
+        for count in (breakdown, count_total):
+            passes.clear()
+            count(GridSpec(m, n), sieve(kernel_sieve_limit(m, n)))
+            assert len(passes) == 1, (m, n, count)
+    # the tables at the limit of a pair past it recurse, and still pass once
+    assert kernel_sieve_limit(10**6, 8 * 10**6) < 10**6
+
+
+def test_a_breakdown_records_only_the_points_it_reads():
+    grid = GridSpec(10**6, 8 * 10**6)
+    limit = kernel_sieve_limit(grid.m, grid.n)
+    tables = sieve(limit)  # mu is sieved before the measurement
+    expected = breakdown(grid, sieve(limit))
+    tracemalloc.start()
+    try:
+        assert breakdown(grid, tables) == expected
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * limit
+    assert retained < 2**20
+    record = tables._sieved["mertens"]
+    assert len(record.points) < limit // 20
 
 
 # -- the residue block sums against the earlier Python-int block sum --------
