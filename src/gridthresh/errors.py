@@ -7,9 +7,11 @@ class CapacityError(Exception):
     Raised instead of silently truncating or overflowing: subset enumeration
     past 64 points, candidate-line enumeration past the configured
     grid cap, the teaching-set census past its point cap, the CLI's side
-    and b-file caps, and three limits of the exact kernels: a weighted
-    Mertens sum M_j(x) whose isqrt(x) is past the sieve limit, a block sum
-    past the residue range, and a blocked-kernel side at or above 2^63.
+    and b-file caps, and four limits of the exact kernels: a weighted
+    Mertens sum M_j(x) whose isqrt(x) is past the sieve limit, a point of
+    the pass over mu at or past 2^31 (where one term d^2 mu(d) may leave
+    int64; its sieve would hold 2^31 entries), a block sum past the
+    residue range, and a blocked-kernel side at or above 2^63.
     """
 
 

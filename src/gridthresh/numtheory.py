@@ -589,10 +589,13 @@ def _mertens_pass(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
     they provably stay below 2^62, by the static bound
     sum_{d<hi} d^2 < hi^3 when that suffices and by their actual extremes
     otherwise; past that they are Python ints, so only the values at the
-    points leave int64, never a chunk.
+    points leave int64, never a chunk.  A point at or past 2^31, where a
+    single term may leave int64, raises CapacityError.
     """
     top = int(points[-1])
-    step = min(_SPAN, max(1, _INT64_SAFE // (top * top)))
+    if top * top >= _INT64_SAFE:
+        raise CapacityError(f"weighted Mertens point {top} past 2^31")
+    step = min(_SPAN, _INT64_SAFE // (top * top))
     total = np.zeros((3, 1), dtype=np.int64)
     parts = []
     for lo in range(1, top + 1, step):

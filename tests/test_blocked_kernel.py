@@ -2,8 +2,9 @@
 
 uv_blocked returns U at the ceilings and 4V of one argument pair from one
 set of blocks of constant quotients, weighted by the Mertens sums
-M_j(x) = sum_{d<=x} d^j mu(d); above the sieve those come from a
-memoised recursion.  blocked_u and blocked_v below are its two halves.
+M_j(x) = sum_{d<=x} d^j mu(d), recorded at the block ends alone: by one
+pass over mu within the sieve, by a batched recursion above it.
+blocked_u and blocked_v below are its two halves.
 Most checks here compare them with an evaluation that shares none of
 that machinery: gcd tables straight from the definition, u_naive/v_naive,
 and the linear kernels u_mobius/v_fast.  The block sums themselves run in
@@ -147,6 +148,12 @@ def test_mertens_pass_is_exact_past_int64():
     for x, got in zip(points.tolist(), values.T.tolist()):
         assert got == [x, x * (x + 1) // 2, x * (x + 1) * (2 * x + 1) // 6], x
     assert all(x * (x + 1) * (2 * x + 1) // 6 > 2**62 for x in points[-3:].tolist())
+
+
+def test_mertens_pass_refuses_a_point_whose_terms_leave_int64():
+    # mu(d) d^2 passes 2^62 from d = 2^31; refused before mu is read
+    with pytest.raises(CapacityError):
+        _mertens_pass(np.ones(4, dtype=np.int8), np.array([1, 2**31], dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
