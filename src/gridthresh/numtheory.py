@@ -46,8 +46,9 @@ sieve's length but mu.  Its block sums run on
 uint64 arrays in one pass per modulus, once mod 2^64 and once mod each
 of as many 32-bit primes as the larger proven bound needs, and the
 Chinese remainder theorem joins the residues of U and of 4V into the
-exact integers; a bound below 2^63 needs the 2^64 pass alone.  No
-object array is built on the way.
+exact integers; a bound below 2^63 needs the 2^64 pass alone.  While
+the recorded sums within the sieve fit int64, as they do at every side
+the CLI admits, no object array is built on the way.
 
 The square sequence serves whole OEIS b-files.  With C_j, S_j and Q_j the
 count, sum of i and sum of i*j over coprime pairs (i, j) in [1, j]^2,
@@ -65,7 +66,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -177,19 +178,21 @@ class QuarterInt:
         return f"QuarterInt({self.quadrupled}/4)"
 
 
-@dataclass(frozen=True)
-class _Recorded:
+class _Recorded(NamedTuple):
     """Weighted Mertens sums at the points recorded so far; never changed once published.
 
     ``values[:, i]`` is (M_0, M_1, M_2) at ``points[i]``, the sorted points
     within the sieve limit: int64, or Python ints once a value may leave
     int64.  ``above`` holds the points past the limit, from the recursion.
-    The defaults are the empty record.
     """
 
-    points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    values: np.ndarray = field(default_factory=lambda: np.zeros((3, 0), dtype=np.int64))
-    above: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    points: np.ndarray
+    values: np.ndarray
+    above: dict[int, tuple[int, int, int]]
+
+
+def _nothing_recorded() -> _Recorded:
+    return _Recorded(np.zeros(0, dtype=np.int64), np.zeros((3, 0), dtype=np.int64), {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +273,7 @@ class NTTables:
         """
         low = xs[: int(np.searchsorted(xs, self.limit, side="right"))]
         high = xs[len(low):].tolist()
-        record = self._sieved.get("mertens") or _Recorded()
+        record = self._sieved.get("mertens") or _nothing_recorded()
         at, found = _lookup(record, low)
         if not found.all() or any(x not in record.above for x in high):
             with self._lock:
@@ -285,7 +288,7 @@ class NTTables:
         rest by the recursion, which reads them; the extended record is
         published only once it is whole.
         """
-        record = self._sieved.get("mertens") or _Recorded()
+        record = self._sieved.get("mertens") or _nothing_recorded()
         found = _lookup(record, low)[1]
         high = sorted({x for x in high if x not in record.above})
         if high and math.isqrt(high[-1]) > self.limit:
