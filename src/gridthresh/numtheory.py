@@ -273,9 +273,10 @@ class NTTables:
         """
         low = xs[: int(np.searchsorted(xs, self.limit, side="right"))]
         high = xs[len(low):].tolist()
-        record = self._sieved.get("mertens") or _nothing_recorded()
-        at, found = _lookup(record, low)
-        if not found.all() or any(x not in record.above for x in high):
+        record = self._sieved.get("mertens")
+        if record is not None:
+            at, found = _lookup(record, low)
+        if record is None or not found.all() or any(x not in record.above for x in high):
             with self._lock:
                 record = self._record(low, high)
             at, _ = _lookup(record, low)
