@@ -138,6 +138,20 @@ def test_weighted_mertens_recursion_equals_prefix_sums():
         weighted_mertens(-1, small)
 
 
+def test_weighted_mertens_refuses_x_past_its_sieve_before_allocating():
+    tiny = sieve(3)
+    assert weighted_mertens(15, tiny) == weighted_mertens(15, sieve(15))  # isqrt(15) = 3
+    tracemalloc.start()
+    try:
+        for x in (16, 10**18):  # isqrt(x) > 3: the recursion would read past the sieve
+            with pytest.raises(CapacityError):
+                weighted_mertens(x, tiny)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_mertens_pass_is_exact_past_int64():
     # with mu = 1 everywhere M_2(x) = x(x+1)(2x+1)/6 passes 2^62 near x = 2.4e6
     n = 3_100_000
