@@ -87,13 +87,15 @@ _INT64_SAFE = 2**62
 
 # The Mertens layer works in vectorised steps of at most this many terms: a
 # chunk of the pass over mu, or a group of points of the batched recursion
-# (a point with more terms is a group of its own, as every point from 10^9
-# up is, with about 2 isqrt(x) > 2^16 terms: no group there holds more than
-# one point's arrays).  Measured on 2 shared vCPUs: a breakdown of
-# 10^6 x 8*10^6 on a fresh sieve to 320 000 took 6.3-9.3 ms (best of 15)
-# at every span from 2^14 to 2^18, while its tracemalloc peak grew from
-# 1.3 to 6.7 MB; count_p(10^9) without its sieve took about 760 ms at 2^12
-# and 570-680 ms from 2^15 up (best of 3).  2^16 peaks at 2.1 MB.
+# (a point with more terms is a group of its own).  A point x from 10^9 up
+# has about 2 isqrt(x) >= 63 000 terms, and past the kernel's sieve limit
+# there (at least 8*10^6) every point has over 5 000, so such a group holds
+# one point: no more than the per-point arrays of an unbatched recursion.
+# Measured on 2 shared vCPUs: a breakdown of 10^6 x 8*10^6 on a fresh
+# sieve to 320 000 took 6.3-9.3 ms (best of 15) at every span from 2^14
+# to 2^18, while its tracemalloc peak grew from 1.3 to 6.7 MB;
+# count_p(10^9) without its sieve took about 760 ms at 2^12 and
+# 570-680 ms from 2^15 up (best of 3).  2^16 peaks at 2.1 MB.
 _SPAN = 2**16
 
 # The block sums run once mod 2^64 and then once mod each of these primes,
