@@ -21,13 +21,15 @@ import sys
 import time
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .asymptotics import DEFAULT_ANISO_MS, DEFAULT_ANISO_NS, DEFAULT_SQUARE_KS
 from .asymptotics import reports_to_csv, residual_sweep
 from .counting import breakdown, count_p, count_p_sequence, count_total
 from .errors import CandidateFamilyError, CapacityError
 from .grid import GridSpec
-from .numtheory import NTTables, kernel_sieve_limit, sieve, uv_square_sequence
+from .numtheory import _SPAN, NTTables, _square_chunks, kernel_sieve_limit, sieve
 from .numtheory import u_mobius  # noqa: F401  (names perfbench/spans.py wraps)
 from .oracle import cross_validate, dump_functions, enumerate_by_lines, enumerate_by_subsets
 from .oracle import require_admitted
@@ -176,19 +178,44 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
         raise CapacityError(f"--count {args.count} exceeds the b-file cap of {OEIS_COUNT_CAP} terms")
     tables = NTTables(args.count)  # the sequence kernel reads phi alone
     if args.sequence == "A018805":  # coprime pairs in the k x k square
-        values = uv_square_sequence(args.count, tables)[0][1:]
+        values = []
+        for _, u, _ in _square_chunks(args.count, tables, four_v=False):
+            values += u.tolist()
+        del values[0]  # U(0, 0)
     else:
         values = count_p_sequence(args.count, tables)
-        if args.sequence == "A114043":
-            assert all(p % 2 == 0 for p in values), "P(k, 2) is always even"
-            values = [p // 2 for p in values]
-    text = "".join(f"{k} {value}\n" for k, value in enumerate(values, start=1))
+    halve = args.sequence == "A114043"
+    text = "".join(_bfile_lines(values[lo : lo + _SPAN], lo + 1, halve)
+                   for lo in range(0, len(values), _SPAN))
     if args.output:
         with _writing(args.output), open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _bfile_lines(values: list[int], first: int, halve: bool) -> str:
+    """Lines "k value" for values indexed from ``first``, halved if ``halve``.
+
+    Halving checks every value is even, on an int64 array where the values
+    fit and on Python ints where they do not: P(k, 2) is always even, so
+    an odd value is a library fault (ArithmeticError, exit 4), not a value
+    to floor.
+    """
+    if halve:
+        try:
+            p = np.array(values, dtype=np.int64)
+        except OverflowError:  # a value past int64
+            p = np.array(values, dtype=object)
+        if (p & 1).any():
+            raise ArithmeticError("an odd P(k, 2) has no half in A114043")
+        values = (p >> 1).tolist()
+    pairs: list[int] = [0] * (2 * len(values))
+    pairs[::2] = range(first, first + len(values))
+    pairs[1::2] = values
+    # %s, not %d: %d would floor a stray float where %s shows it
+    return ("%s %s\n" * len(values)) % tuple(pairs)
 
 
 def _cmd_teach(args: argparse.Namespace) -> int:

@@ -12,8 +12,12 @@ zero) the stable/unstable split is
 
 with N = 2(|F| + 1).  The k-valued square case is P(k, 2) = N(k-1, k-1).
 count_p_sequence gives P(1..K, 2) from one pass of the square-sequence
-kernel (numtheory.uv_square_sequence), for whole OEIS b-files; count_p
-stays the per-term path and the sequence's oracle.
+kernel (numtheory._square_chunks, behind uv_square_sequence), for whole
+OEIS b-files: _total runs on each chunk's arrays, in int64 up to K of
+about 2.5 10^4 and in Python ints past it.  A b-file of 10^6 terms
+(`oeis --sequence A114146 --count 1000000`, in-process, best of 3 on 2
+shared vCPUs) takes about 0.64 s and peaks at 162 MB RSS.  count_p stays
+the per-term path and the sequence's oracle.
 
 Each formula is written once: N in _total, the split in breakdown.
 breakdown makes one call of the blocked kernel (numtheory.uv_blocked)
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .grid import GridSpec
-from .numtheory import HalfInt, NTTables, uv_blocked, uv_square_sequence
+from .numtheory import HalfInt, NTTables, _square_chunks, uv_blocked
 from .numtheory import u_mobius, v_fast  # noqa: F401  (names perfbench/spans.py wraps)
 
 
@@ -72,7 +76,7 @@ class CountBreakdown:
 
 
 def _total(m: int, n: int, four_v: int) -> int:
-    """N(m, n) from 4V(m, n)."""
+    """N(m, n) from 4V(m, n); elementwise on exact arrays too."""
     return (2 * m + 1) * (2 * n + 1) + 1 + four_v
 
 
@@ -91,12 +95,15 @@ def count_p(k: int, tables: NTTables) -> int:
 def count_p_sequence(count: int, tables: NTTables) -> list[int]:
     """[P(1, 2), ..., P(count, 2)] from one pass of the square-sequence kernel.
 
+    N(j, j) is assembled per chunk, on the exact arrays of 4V(j, j) and j.
     Needs tables.limit >= count - 1; equals count_p term by term.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    _, four_v = uv_square_sequence(count - 1, tables)
-    return [_total(j, j, v) for j, v in enumerate(four_v)]
+    values: list[int] = []
+    for j, _, four_v in _square_chunks(count - 1, tables):
+        values += _total(j, j, four_v).tolist()
+    return values
 
 
 def count_unstable(grid: GridSpec, tables: NTTables) -> int:
