@@ -237,9 +237,13 @@ class CandidateScan:
         return StabilityClass("unstable", vertex=next(iter(vertices)))
 
 
+def _bits(grid: GridSpec, mask: int) -> str:
+    """The zero bit-set ``mask`` as a string, row-major, bit 0 first."""
+    return format(mask, f"0{grid.point_count}b")[::-1]
+
+
 def _witness(grid: GridSpec, mask: int, label: str) -> str:
-    bits = "".join("1" if (mask >> i) & 1 else "0" for i in range(grid.point_count))
-    return f"{label}: zeros={bits}"
+    return f"{label}: zeros={_bits(grid, mask)}"
 
 
 def scan_candidates(grid: GridSpec) -> CandidateScan:

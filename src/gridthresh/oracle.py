@@ -5,8 +5,8 @@ Two independent enumerations of all threshold functions on a grid:
 * enumerate_by_subsets keeps the separable dichotomies of the lattice,
   deciding separability by exact convex-hull disjointness (zeros on the
   closed side, ones strictly on the open side, which for compact hulls
-  is equivalent to the hulls being disjoint).  It knows nothing about
-  lines or the closed formulas.
+  is equivalent to the hulls being disjoint), a separating-axis test in
+  integers.  It knows nothing about lines or the closed formulas.
 
 * enumerate_by_lines evaluates the finite candidate-line family described
   in geometry and deduplicates the resulting zero-sets.
@@ -29,9 +29,12 @@ anchored at one end (prefix for a > 0, suffix for a < 0), and the
 interval lengths, being clamped floors of an affine function of the row
 index, are monotone across rows.  So every separable dichotomy is a
 staircase, all rows prefixes or all suffixes with monotone lengths, and
-_staircases lists those directly from the monotone length sequences: at
+the oracle lists those directly from the monotone length sequences: at
 most 4 C(m + n + 2, n + 1) of them (484 of the 2^20 subsets of a 4 x 3
-grid).  The hull test alone decides membership for the staircases.
+grid).  The hull test alone decides membership for the staircases, and
+it reads only row endpoints: the zeros and the ones of a row are
+intervals, and the hull of an interval is the hull of its two ends, so a
+test takes at most 4(n + 1) points instead of (m + 1)(n + 1).
 
 It runs once per symmetry orbit of staircases, not once per staircase.
 The four renderings of a length sequence L (as given or reversed, every
@@ -54,16 +57,16 @@ from typing import Literal, Optional
 
 from .counting import breakdown
 from .errors import CandidateFamilyError, CapacityError
-from .geometry import CandidateScan, Point, ThresholdFn, _witness, scan_candidates
+from .geometry import CandidateScan, Point, ThresholdFn, _bits, _witness, scan_candidates
 from .grid import GridSpec
 from .numtheory import NTTables
 
 # the cap bounds hull tests, not memory: a grid has C(m + n + 2, n + 1)
 # length sequences and about half as many hull tests, most at 7 x 7 (12 870
-# sequences) within the cap, where cross_validate takes about 0.7 s and
-# `oracle --m 7 --n 7` about 0.9 s and 33 MB peak RSS (2 vCPUs, Python
-# 3.11); cross_validate runs the subset oracle on every grid within the cap,
-# and past it the line oracle alone
+# sequences) within the cap, where cross_validate takes about 0.5 s and
+# `oracle --m 7 --n 7` about 0.6 s and 33 MB peak RSS (best of 5, 2 vCPUs,
+# Python 3.11); cross_validate runs the subset oracle on every grid within
+# the cap, and past it the line oracle alone
 SUBSET_POINT_CAP = 64
 # the scan grows with (2m + 1)(2n + 1) directions times (m + 1)(n + 1) points:
 # cross_validate takes about 2.0 s and 125 MB peak RSS on 20 x 20, 4.7 s and
@@ -146,68 +149,35 @@ def _hull(points: list[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def _point_in_hull(p: Point, hull: list[Point]) -> bool:
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if _cross(a, b, p) != 0:
-            return False
-        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-    for i in range(len(hull)):
-        if _cross(hull[i], hull[(i + 1) % len(hull)], p) < 0:
-            return False
-    return True
-
-
-def _on_segment(a: Point, b: Point, c: Point) -> bool:
-    return (_cross(a, b, c) == 0
-            and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
-
-
-def _segments_intersect(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
-    d1 = _cross(p3, p4, p1)
-    d2 = _cross(p3, p4, p2)
-    d3 = _cross(p1, p2, p3)
-    d4 = _cross(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-    return (_on_segment(p3, p4, p1) or _on_segment(p3, p4, p2)
-            or _on_segment(p1, p2, p3) or _on_segment(p1, p2, p4))
-
-
 def hulls_disjoint(points_a: list[Point], points_b: list[Point]) -> bool:
-    """Exact disjointness of the convex hulls of two point sets.
+    """Exact disjointness of the convex hulls of two non-empty point sets.
 
-    Two convex regions intersect iff a vertex of one lies in the other or
-    a pair of boundary edges meets; both checks are closed, so touching
-    counts as intersecting.
+    A separating-axis test (Gottschalk, Lin & Manocha, SIGGRAPH 1996):
+    project both hulls on the normal and on the direction of every edge
+    of either hull; they are disjoint iff one of these projections puts
+    them strictly apart, so touching counts as intersecting.  A
+    projection strictly apart is a separating line.  Conversely, the
+    hulls HA and HB are disjoint iff 0 is not in D = HA - HB, and every
+    edge of D is parallel to an edge of HA or of HB:
+
+    * D is 2-D and 0 is not in D: 0 lies strictly outside the half-plane
+      of some edge of D, whose normal separates 0 from D, so HA from HB;
+    * D is a segment: its normal separates if 0 is off its line, its
+      direction if 0 is on the line;
+    * D is a point: both hulls are points, disjoint iff they differ.
     """
     ha, hb = _hull(points_a), _hull(points_b)
-    for p in ha:
-        if _point_in_hull(p, hb):
-            return False
-    for p in hb:
-        if _point_in_hull(p, ha):
-            return False
-    edges_a = _edges(ha)
-    edges_b = _edges(hb)
-    for a1, a2 in edges_a:
-        for b1, b2 in edges_b:
-            if _segments_intersect(a1, a2, b1, b2):
-                return False
-    return True
-
-
-def _edges(hull: list[Point]) -> list[tuple[Point, Point]]:
-    if len(hull) < 2:
-        return []
-    if len(hull) == 2:
-        return [(hull[0], hull[1])]
-    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+    if len(ha) == len(hb) == 1:
+        return ha != hb
+    for hull in (ha, hb):
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+            dx, dy = x1 - x0, y1 - y0
+            for u, v in ((dx, dy), (-dy, dx)):
+                pa = [u * x + v * y for x, y in ha]
+                pb = [u * x + v * y for x, y in hb]
+                if max(pa) < min(pb) or max(pb) < min(pa):
+                    return True
+    return False
 
 
 def is_separable(zeros: list[Point], ones: list[Point]) -> bool:
@@ -240,17 +210,6 @@ def _renderings(lengths: tuple[int, ...], width: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _staircases(grid: GridSpec) -> list[int]:
-    """The zero-sets whose rows are all prefixes or all suffixes, with
-    monotone lengths, in ascending order: the renderings of every
-    non-decreasing sequence of row lengths."""
-    width = grid.m + 1
-    masks: set[int] = set()
-    for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
-        masks.update(_renderings(lengths, width))
-    return sorted(masks)
-
-
 def enumerate_by_subsets(grid: GridSpec, *,
                          scan: Optional[CandidateScan] = None) -> EnumerationResult:
     """Every subset of the lattice, kept iff it is a separable zero-set.
@@ -259,14 +218,15 @@ def enumerate_by_subsets(grid: GridSpec, *,
     not separable, and every staircase is decided by an exact hull test,
     one per symmetry orbit.  For a non-decreasing length sequence L the
     test splits the lattice into the prefix rendering of L (zeros) and
-    the rest (ones).  Its verdict holds for all four renderings of L,
-    since the reflections x -> m - x and y -> n - y that map them onto
-    one another are affine bijections of the lattice and preserve hull
-    disjointness.  It holds for the partner L' = reversed(w - L) too
-    (w = m + 1): the ones of prefix(L) are a rendering of L', and hull
-    disjointness is symmetric in its two sides.  The sequences come in
-    lexicographic order, so each pair is tested once, when its first
-    member comes up, and a separable pair keeps the renderings of both.
+    the rest (ones), each side given by the two ends of its rows.  Its
+    verdict holds for all four renderings of L, since the reflections
+    x -> m - x and y -> n - y that map them onto one another are affine
+    bijections of the lattice and preserve hull disjointness.  It holds
+    for the partner L' = reversed(w - L) too (w = m + 1): the ones of
+    prefix(L) are a rendering of L', and hull disjointness is symmetric
+    in its two sides.  The sequences come in lexicographic order, so each
+    pair is tested once, when its first member comes up, and a separable
+    pair keeps the renderings of both.
 
     Grids of more than SUBSET_POINT_CAP points raise CapacityError.  The
     stable/unstable tallies are read afterwards from a candidate scan
@@ -281,8 +241,10 @@ def enumerate_by_subsets(grid: GridSpec, *,
         partner = tuple(width - length for length in reversed(lengths))
         if partner < lengths:
             continue   # decided when the partner came up
-        zeros = [(x, y) for y, length in enumerate(lengths) for x in range(length)]
-        ones = [(x, y) for y, length in enumerate(lengths) for x in range(length, width)]
+        zeros = [(x, y) for y, length in enumerate(lengths) if length
+                 for x in (0, length - 1)]
+        ones = [(x, y) for y, length in enumerate(lengths) if length < width
+                for x in (length, grid.m)]
         if is_separable(zeros, ones):
             kept.update(_renderings(lengths, width))
             kept.update(_renderings(partner, width))
@@ -438,7 +400,4 @@ def dump_functions(result: EnumerationResult, path: str) -> None:
     """Write one bit-string per function (row-major zeros, bit 0 first)."""
     with open(path, "w", encoding="ascii") as fh:
         for fn in result.functions:
-            bits = "".join(
-                "1" if (fn.zeros >> i) & 1 else "0" for i in range(result.grid.point_count)
-            )
-            fh.write(bits + "\n")
+            fh.write(_bits(result.grid, fn.zeros) + "\n")

@@ -444,6 +444,28 @@ def test_main_builds_no_parser_after_import(capsys, monkeypatch):
     assert built == []
 
 
+def test_no_subcommand_imports_numpy_ma():
+    # the first np.unique, np.union1d or np.setdiff1d imports numpy.ma,
+    # 12-17 ms that every fresh process would pay in its setup
+    script = """
+import contextlib, io, sys
+from gridthresh.cli import main
+for argv in (["count", "--m", "30", "--n", "20", "--breakdown"], ["count", "--k", "100"],
+             ["oeis", "--sequence", "A114146", "--count", "30"],
+             ["oracle", "--m", "3", "--n", "3"], ["teach", "--m", "3", "--n", "3", "--check"],
+             ["asympt", "--max-k", "64"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\n"
+
+
 def test_calls_in_one_process_print_what_a_first_call_prints(capsys):
     # the parser is shared by every main call: each call must print what it
     # prints as the first call of a fresh process

@@ -1,7 +1,10 @@
 """Unit tests for the brute-force enumerations and cross-validation."""
 
+import random
 from itertools import combinations_with_replacement
+from math import gcd
 
+import numpy as np
 import pytest
 
 import gridthresh.oracle
@@ -21,9 +24,7 @@ from gridthresh.oracle import (
     SUBSET_POINT_CAP,
     _classified,
     _hull,
-    _point_in_hull,
-    _segments_intersect,
-    _staircases,
+    _renderings,
     hulls_disjoint,
     is_separable,
 )
@@ -43,15 +44,15 @@ def test_hull_drops_interior_points():
 
 
 def test_point_in_hull_boundary_counts():
-    hull = _hull([(0, 0), (4, 0), (4, 4), (0, 4)])
-    assert _point_in_hull((2, 0), hull)
-    assert _point_in_hull((2, 2), hull)
-    assert not _point_in_hull((5, 2), hull)
+    square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    assert not hulls_disjoint([(2, 0)], square)
+    assert not hulls_disjoint([(2, 2)], square)
+    assert hulls_disjoint([(5, 2)], square)
 
 
 def test_segments_collinear_overlap():
-    assert _segments_intersect((0, 0), (3, 0), (2, 0), (5, 0))
-    assert not _segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))
+    assert not hulls_disjoint([(0, 0), (3, 0)], [(2, 0), (5, 0)])
+    assert hulls_disjoint([(0, 0), (1, 0)], [(2, 0), (3, 0)])
 
 
 def test_disjoint_collinear_segments():
@@ -62,6 +63,43 @@ def test_disjoint_collinear_segments():
 
 def test_touching_hulls_are_not_disjoint():
     assert not hulls_disjoint([(0, 0), (2, 0), (1, 2)], [(1, 2), (3, 3)])
+
+
+def random_points(rng, box):
+    """One to five points of the box, repeats allowed; a third of the
+    sets lie on one lattice line."""
+    k = rng.randint(1, 5)
+    if rng.random() < 1 / 3:
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)])
+        x, y = rng.randrange(box), rng.randrange(box)
+        line = [(x + t * dx, y + t * dy) for t in range(-box, box)
+                if 0 <= x + t * dx < box and 0 <= y + t * dy < box]
+        return [rng.choice(line) for _ in range(k)]
+    return [(rng.randrange(box), rng.randrange(box)) for _ in range(k)]
+
+
+def test_separating_axes_equal_a_direction_search():
+    # two finite sets have disjoint hulls iff some direction (a, b) puts
+    # max over A strictly below min over B.  Those directions form an open
+    # convex cone bounded by normals of differences b - a, whose
+    # coordinates are at most 5 in a 6 x 6 box; the sum of its two
+    # bounding rays, or a difference itself when the cone is a half-plane,
+    # lies inside, so |a|, |b| <= 12 finds every disjoint pair
+    box, reach = 6, 12
+    directions = np.array([(a, b) for a in range(-reach, reach + 1)
+                           for b in range(-reach, reach + 1) if gcd(a, b) == 1])
+    points = [(x, y) for x in range(box) for y in range(box)]
+    projections = directions @ np.array(points).T
+    rng = random.Random(20061)
+    disjoint = 0
+    for _ in range(10_000):
+        a, b = random_points(rng, box), random_points(rng, box)
+        ia = [points.index(p) for p in a]
+        ib = [points.index(p) for p in b]
+        searched = bool((projections[:, ia].max(axis=1) < projections[:, ib].min(axis=1)).any())
+        assert hulls_disjoint(a, b) == searched, (a, b)
+        disjoint += searched
+    assert 2_000 < disjoint < 8_000
 
 
 def test_diagonal_dichotomy_is_not_separable():
@@ -93,14 +131,25 @@ def test_subsets_3x3_grid():
     assert result.unstable_count == 7
 
 
+def staircases(grid):
+    """The zero-sets whose rows are all prefixes or all suffixes, with
+    monotone lengths, in ascending order: the renderings of every
+    non-decreasing sequence of row lengths."""
+    width = grid.m + 1
+    masks = set()
+    for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
+        masks.update(_renderings(lengths, width))
+    return sorted(masks)
+
+
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(12) for n in range(12)
                                   if (m + 1) * (n + 1) <= 12])
 def test_staircases_hold_every_separable_dichotomy(m, n):
     grid = GridSpec(m, n)
     pts = grid.points()
-    staircases = _staircases(grid)
-    assert staircases == sorted(set(staircases))
-    generated = set(staircases)
+    listed = staircases(grid)
+    assert listed == sorted(set(listed))
+    generated = set(listed)
     for mask in range(1 << grid.point_count):
         zeros = [p for i, p in enumerate(pts) if (mask >> i) & 1]
         ones = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
@@ -113,7 +162,7 @@ def staircase_judge(grid):
     zeros and ones read from the mask bits."""
     pts = grid.points()
     kept = []
-    for mask in _staircases(grid):
+    for mask in staircases(grid):
         zeros = [p for i, p in enumerate(pts) if (mask >> i) & 1]
         ones = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
         if is_separable(zeros, ones):
@@ -149,6 +198,18 @@ def test_one_hull_test_per_complement_pair_of_length_sequences(m, n, monkeypatch
     pairs = {min(lengths, tuple(width - length for length in reversed(lengths)))
              for lengths in combinations_with_replacement(range(width + 1), n + 1)}
     assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize("m, n", [(7, 7), (8, 6), (6, 8), (15, 3), (3, 15)])
+def test_oracles_agree_at_the_subset_cap(m, n):
+    # each oracle on its own scan: masks, split and vertices
+    grid = GridSpec(m, n)
+    subsets, lines = enumerate_by_subsets(grid), enumerate_by_lines(grid)
+    assert subsets.scan is not lines.scan
+    assert [f.zeros for f in subsets.functions] == [f.zeros for f in lines.functions]
+    assert (subsets.stable_count, subsets.unstable_count) == (lines.stable_count,
+                                                              lines.unstable_count)
+    assert subsets.vertices == lines.vertices
 
 
 def test_subsets_cap_admits_collinear_grids_up_to_the_cap():
