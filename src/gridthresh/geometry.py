@@ -30,11 +30,18 @@ k >= 2 points the running set is stable, and the set before the level
 plus the level's first or last j points (1 <= j < k) is pointed at the
 j-th of them.  Unstable functions have only pointed lines, at the vertex.
 
-scan_candidates evaluates the family once per grid, and
-CandidateScan.classify is the one stable/unstable classifier: classify,
-both enumeration oracles and the teaching-set rule all read it from a
-single scan.  The subset-separability oracle independently corroborates
-the family on every grid where both oracles run.
+The scan records each pointed line's pivot against its zero-set, so a
+mask pointed at two different points is marked as having no vertex.
+When the scan ends it keeps the pivots only of the masks that no line
+through two lattice points defines: CandidateScan.vertices maps each of
+them to its vertex, or to None for two or more pivots.
+
+scan_candidates evaluates the family once per grid, and its stable masks
+and vertex map are the one stable/unstable classification:
+CandidateScan.classify reads a single mask, both enumeration oracles
+read the split of all their masks by lookup, and so does the
+teaching-set rule.  The subset-separability oracle independently
+corroborates the family on every grid where both oracles run.
 """
 
 from __future__ import annotations
@@ -179,9 +186,14 @@ def complement_fn(f: ThresholdFn) -> ThresholdFn:
     rule.  The reflection maps row-major bit i to bit P - 1 - i, so the
     complement's zero-set is the P-bit reversal of f's one-set.
     """
-    count = f.grid.point_count
-    ones = ~f.zeros & ((1 << count) - 1)
-    return ThresholdFn(f.grid, int(format(ones, f"0{count}b")[::-1], 2))
+    return ThresholdFn(f.grid, _complement_mask(f.grid, f.zeros))
+
+
+def _complement_mask(grid: GridSpec, zeros: int) -> int:
+    """The zero-set of complement_fn: the P-bit reversal of the one-set."""
+    count = grid.point_count
+    ones = ~zeros & ((1 << count) - 1)
+    return int(format(ones, f"0{count}b")[::-1], 2)
 
 
 def candidate_directions(grid: GridSpec) -> Iterator[tuple[int, int]]:
@@ -198,15 +210,17 @@ def candidate_directions(grid: GridSpec) -> Iterator[tuple[int, int]]:
 class CandidateScan:
     """Digest of one pass over the candidate family of a grid.
 
-    masks              every distinct zero bit-set realized
-    stable_masks       masks defined by some line through >= 2 lattice points
-    pointed_singletons mask -> the points its pointed candidates turn about
+    masks         every distinct zero bit-set realized
+    stable_masks  masks defined by some line through >= 2 lattice points
+    vertices      each mask outside stable_masks that a pointed candidate
+                  defines -> the point its pointed candidates turn about,
+                  or None when they turn about two or more points
     """
 
     grid: GridSpec
     masks: frozenset[int]
     stable_masks: frozenset[int]
-    pointed_singletons: dict[int, frozenset[Point]]
+    vertices: dict[int, Optional[Point]]
 
     def classify(self, mask: int) -> StabilityClass:
         """Stable/unstable class of a non-constant zero-set of this grid.
@@ -230,11 +244,11 @@ class CandidateScan:
                 grid, mask, f"candidate family missed a zero-set on grid ({grid.m}, {grid.n})"))
         if grid.is_degenerate or mask in self.stable_masks:
             return StabilityClass("stable")
-        vertices = self.pointed_singletons.get(mask, frozenset())
-        if len(vertices) != 1:
+        vertex = self.vertices.get(mask)
+        if vertex is None:
             raise CandidateFamilyError(_witness(
                 grid, mask, f"unstable zero-set on grid ({grid.m}, {grid.n}) lacks a unique vertex"))
-        return StabilityClass("unstable", vertex=next(iter(vertices)))
+        return StabilityClass("unstable", vertex=vertex)
 
 
 def _bits(grid: GridSpec, mask: int) -> str:
@@ -247,12 +261,14 @@ def _witness(grid: GridSpec, mask: int, label: str) -> str:
 
 
 def scan_candidates(grid: GridSpec) -> CandidateScan:
-    """Evaluate every candidate line, recording zero-sets and point counts,
-    as the module docstring sets out.  The two constants are seeded, since
-    0 x 0 has no direction."""
+    """Evaluate every candidate line, recording zero-sets, stable sets and
+    pivots, as the module docstring sets out.  The two constants are
+    seeded, since 0 x 0 has no direction."""
     pts = grid.points()
     stable: set[int] = set()
-    singles: dict[int, set[Point]] = {}
+    # mask -> its pivot, None once a second one turns up; pivots are
+    # compared by identity, since each point is one tuple of pts
+    vertices: dict[int, Optional[Point]] = {}
     for dx, dy in candidate_directions(grid):
         levels: dict[int, list[int]] = {}
         for i, (x, y) in enumerate(pts):
@@ -264,14 +280,19 @@ def scan_candidates(grid: GridSpec) -> CandidateScan:
             for j in range(len(on) - 1):
                 first |= 1 << on[j]
                 last |= 1 << on[-1 - j]
-                singles.setdefault(first, set()).add(pts[on[j]])
-                singles.setdefault(last, set()).add(pts[on[-1 - j]])
+                pivot = pts[on[j]]
+                if vertices.setdefault(first, pivot) is not pivot:
+                    vertices[first] = None
+                pivot = pts[on[-1 - j]]
+                if vertices.setdefault(last, pivot) is not pivot:
+                    vertices[last] = None
             below = first | 1 << on[-1]
             if len(on) >= 2:
                 stable.add(below)
-    masks = stable.union(singles, (0, (1 << len(pts)) - 1))
-    return CandidateScan(grid, frozenset(masks), frozenset(stable),
-                         {k: frozenset(v) for k, v in singles.items()})
+    for mask in stable:
+        vertices.pop(mask, None)
+    masks = frozenset().union(stable, vertices, (0, (1 << len(pts)) - 1))
+    return CandidateScan(grid, masks, frozenset(stable), vertices)
 
 
 def classify(f: ThresholdFn, scan: Optional[CandidateScan] = None) -> StabilityClass:

@@ -11,8 +11,8 @@ Two independent enumerations of all threshold functions on a grid:
 * enumerate_by_lines evaluates the finite candidate-line family described
   in geometry and deduplicates the resulting zero-sets.
 
-Both oracles tally the stable/unstable split of F with
-CandidateScan.classify, and both take an optional ``scan``: the scan of
+Both oracles read the stable/unstable split of F and its vertices from a
+candidate scan, by lookup in its stable masks and vertex map, and both take an optional ``scan``: the scan of
 the grid that the other oracle already holds, so one request scans the
 candidate family once.
 
@@ -56,7 +56,7 @@ from itertools import combinations_with_replacement
 from typing import Literal, Optional
 
 from .counting import breakdown
-from .errors import CandidateFamilyError, CapacityError
+from .errors import CapacityError
 from .geometry import CandidateScan, Point, ThresholdFn, _bits, _witness, scan_candidates
 from .grid import GridSpec
 from .numtheory import NTTables
@@ -153,30 +153,55 @@ def hulls_disjoint(points_a: list[Point], points_b: list[Point]) -> bool:
     """Exact disjointness of the convex hulls of two non-empty point sets.
 
     A separating-axis test (Gottschalk, Lin & Manocha, SIGGRAPH 1996):
-    project both hulls on the normal and on the direction of every edge
-    of either hull; they are disjoint iff one of these projections puts
-    them strictly apart, so touching counts as intersecting.  A
-    projection strictly apart is a separating line.  Conversely, the
-    hulls HA and HB are disjoint iff 0 is not in D = HA - HB, and every
-    edge of D is parallel to an edge of HA or of HB:
+    try the outward normal of every edge of either hull, a two-point hull
+    counting as the two edges of a segment, and the direction of a
+    two-point hull; they are disjoint iff one of these axes puts them
+    strictly apart, so touching counts as intersecting.  On an edge's
+    outward normal the edge's own hull tops out on the edge, so only the
+    other hull is projected, and it must lie strictly beyond the edge.
+    An axis strictly apart is a separating line.  Conversely, the hulls
+    HA and HB are disjoint iff 0 is not in D = HA - HB, and every edge of
+    D is an edge of HA with its outward normal, or one of -HB, which is
+    an edge of HB with its outward normal negated:
 
     * D is 2-D and 0 is not in D: 0 lies strictly outside the half-plane
-      of some edge of D, whose normal separates 0 from D, so HA from HB;
-    * D is a segment: its normal separates if 0 is off its line, its
+      of some edge of D.  If it is an edge of HA with outward normal u,
+      max u.HA < min u.HB: HB lies beyond that edge.  If it is one of -HB,
+      HA lies beyond the edge of HB with outward normal -u;
+    * D is a segment, so each hull is a point or a segment parallel to
+      it: a segment's normals separate if 0 is off D's line, its
       direction if 0 is on the line;
     * D is a point: both hulls are points, disjoint iff they differ.
     """
     ha, hb = _hull(points_a), _hull(points_b)
     if len(ha) == len(hb) == 1:
         return ha != hb
+    if _beyond_an_edge(ha, hb) or _beyond_an_edge(hb, ha):
+        return True
     for hull in (ha, hb):
-        for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
-            dx, dy = x1 - x0, y1 - y0
-            for u, v in ((dx, dy), (-dy, dx)):
-                pa = [u * x + v * y for x, y in ha]
-                pb = [u * x + v * y for x, y in hb]
-                if max(pa) < min(pb) or max(pb) < min(pa):
-                    return True
+        if len(hull) == 2:
+            (x0, y0), (x1, y1) = hull
+            u, v = x1 - x0, y1 - y0
+            pa = [u * x + v * y for x, y in ha]
+            pb = [u * x + v * y for x, y in hb]
+            if max(pa) < min(pb) or max(pb) < min(pa):
+                return True
+    return False
+
+
+def _beyond_an_edge(hull: list[Point], other: list[Point]) -> bool:
+    """Whether ``other`` lies strictly beyond some edge of ``hull`` (CCW,
+    at least two points), on the side its outward normal points to."""
+    if len(hull) < 2:
+        return False
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        u, v = y1 - y0, x0 - x1
+        edge = u * x0 + v * y0
+        for x, y in other:
+            if u * x + v * y <= edge:
+                break
+        else:
+            return True
     return False
 
 
@@ -267,33 +292,29 @@ def enumerate_by_lines(grid: GridSpec, *,
 
 def _classified(grid: GridSpec, masks: list[int], method: Method,
                 scan: CandidateScan) -> EnumerationResult:
-    """The enumeration result of ``masks``, with F split by the scan.
+    """The enumeration result of ``masks`` (ascending), with F split by
+    lookups in the scan, as CandidateScan.classify splits one mask.
 
-    Every mask must be in the scan: a missing one, in F or not, raises
-    CandidateFamilyError with its zero-set as witness.
+    Every mask must be in the scan, and every unstable one in F must have
+    a vertex: the first fault in ascending order, a missing mask (in F or
+    not) or a vertexless one, raises CandidateFamilyError with its
+    zero-set as witness.
     """
     if scan.grid != grid:
         raise ValueError("candidate scan belongs to a different grid")
     full = (1 << grid.point_count) - 1
-    stable = unstable = 0
-    vertices: dict[int, Point] = {}
-    for m in masks:
-        if not (m & 1) or m == full:
-            if m not in scan.masks:
-                raise CandidateFamilyError(_witness(
-                    grid, m, f"candidate family missed a zero-set on grid ({grid.m}, {grid.n})"))
-            continue
-        kind = scan.classify(m)
-        if kind.is_stable:
-            stable += 1
-        else:
-            unstable += 1
-            vertices[m] = kind.vertex
+    in_f = [m for m in masks if m & 1 and m != full]
+    unstable = [] if grid.is_degenerate else [m for m in in_f if m not in scan.stable_masks]
+    vertices = dict(zip(unstable, map(scan.vertices.get, unstable)))
+    if not scan.masks.issuperset(masks) or None in vertices.values():
+        faults = set(masks).difference(scan.masks)
+        faults.update(m for m, vertex in vertices.items() if vertex is None)
+        scan.classify(min(faults))   # raises the fault with its witness
     return EnumerationResult(
         grid=grid,
         functions=[ThresholdFn(grid, mask) for mask in masks],
-        stable_count=stable,
-        unstable_count=unstable,
+        stable_count=len(in_f) - len(unstable),
+        unstable_count=len(unstable),
         method=method,
         vertices=vertices,
         scan=scan,

@@ -32,8 +32,8 @@ disagreements instead of hiding them.  Constants fall outside the rule;
 their sizes are still computed and reported.
 
 The universe is an EnumerationResult; the rule reads the stability of f
-and its complement from that result's candidate scan through
-CandidateScan.classify, so a census scans its grid once.  A census costs
+and its complement from that result's candidate scan, by lookup in its
+stable masks and vertex map, so a census scans its grid once.  A census costs
 O(|universe| (P + |universe|)), so grids above TEACH_POINT_CAP points are
 refused with CapacityError before anything is enumerated.
 """
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CandidateFamilyError, CapacityError
-from .geometry import CandidateScan, Point, ThresholdFn, _witness, complement_fn
+from .geometry import CandidateScan, Point, ThresholdFn, _complement_mask, _witness
 from .geometry import classify, scan_candidates  # noqa: F401  (names perfbench/spans.py wraps)
 from .grid import GridSpec
 from .oracle import EnumerationResult, enumerate_by_lines
@@ -178,11 +178,19 @@ def _teacher(universe: EnumerationResult) -> _Teacher:
 def _predict(f: ThresholdFn, scan: CandidateScan) -> int:
     if f.grid.is_degenerate:
         return 2
-    if not scan.classify(f.zeros).is_stable:
-        return 3
-    if not scan.classify(complement_fn(f).zeros).is_stable:
+    if _unstable(f.zeros, scan) or _unstable(_complement_mask(f.grid, f.zeros), scan):
         return 3
     return 4
+
+
+def _unstable(mask: int, scan: CandidateScan) -> bool:
+    """CandidateScan.classify's verdict on a non-constant zero-set of a
+    proper grid, by lookup."""
+    if mask in scan.stable_masks:
+        return False
+    if scan.vertices.get(mask) is None:
+        scan.classify(mask)   # a family fault: raises with the mask as witness
+    return True
 
 
 def min_teaching_set(f: ThresholdFn, universe: EnumerationResult) -> TeachingReport:

@@ -315,10 +315,10 @@ def test_teach_vertex_gap_outside_f_exits_mismatch(capsys, monkeypatch):
 
     def lossy(grid):
         scan = original(grid)
-        victim = min(m for m in scan.pointed_singletons
+        victim = min(m for m in scan.vertices
                      if not m & 1 and m not in scan.stable_masks)
-        singles = {k: v for k, v in scan.pointed_singletons.items() if k != victim}
-        return dataclasses.replace(scan, pointed_singletons=singles)
+        vertices = {k: v for k, v in scan.vertices.items() if k != victim}
+        return dataclasses.replace(scan, vertices=vertices)
 
     monkeypatch.setattr(gridthresh.oracle, "scan_candidates", lossy)
     code, _, err = run(capsys, "teach", "--m", "2", "--n", "2")

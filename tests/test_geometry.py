@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gridthresh.geometry
 from gridthresh import (
     GridSpec,
     Line,
@@ -20,7 +22,7 @@ from gridthresh import (
     zero_set,
 )
 from gridthresh.errors import CandidateFamilyError
-from gridthresh.geometry import scan_candidates
+from gridthresh.geometry import candidate_directions, scan_candidates
 
 from conftest import RANDOM_SEED
 
@@ -254,7 +256,7 @@ def test_scan_classify_reports_family_faults_with_witness():
     diagonal = fn_from_points(grid, [(0, 0), (1, 1)]).zeros
     with pytest.raises(CandidateFamilyError, match="missed.*zeros=1001"):
         scan.classify(diagonal)
-    vertexless = dataclasses.replace(scan, pointed_singletons={})
+    vertexless = dataclasses.replace(scan, vertices={})
     with pytest.raises(CandidateFamilyError, match="unique vertex.*zeros=1000"):
         vertexless.classify(corner)
 
@@ -265,7 +267,9 @@ def scan_by_definition(grid):
     the two lines through r alone turned either way.  A turned line has
     direction K d +- d_perp, K = m^2 + n^2 + 1, so every point off the line
     keeps its side; it counts when it moves one of the line's points to the
-    open side."""
+    open side.  The pivots of each mask reduce to the scan's vertex map:
+    one pivot gives the point, two or more give None, and stable masks
+    have no entry."""
     full = (1 << grid.point_count) - 1
     masks, stable, singles = {0, full}, set(), {}
     k = grid.m ** 2 + grid.n ** 2 + 1
@@ -284,7 +288,9 @@ def scan_by_definition(grid):
                     continue   # every point of the line stayed on the closed side
                 masks.add(mask)
                 singles.setdefault(mask, set()).add((rx, ry))
-    return masks, stable, {k: frozenset(v) for k, v in singles.items()}
+    vertices = {k: next(iter(v)) if len(v) == 1 else None
+                for k, v in singles.items() if k not in stable}
+    return masks, stable, vertices
 
 
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)]
@@ -292,7 +298,7 @@ def scan_by_definition(grid):
 def test_scan_equals_the_family_evaluated_by_definition(m, n):
     grid = GridSpec(m, n)
     scan = scan_candidates(grid)
-    assert (scan.masks, scan.stable_masks, scan.pointed_singletons) == scan_by_definition(grid)
+    assert (scan.masks, scan.stable_masks, scan.vertices) == scan_by_definition(grid)
 
 
 def doubled_box_directions(grid):
@@ -340,7 +346,7 @@ def test_scan_equals_the_doubled_box_family(m, n):
     assert scan.masks == masks and scan.stable_masks == stable
     full = (1 << grid.point_count) - 1
     for mask in masks - stable - {0, full}:
-        assert scan.pointed_singletons[mask] == singles[mask], bin(mask)
+        assert {scan.vertices[mask]} == singles[mask], bin(mask)
         assert len(singles[mask]) == 1, bin(mask)
 
 
@@ -349,7 +355,7 @@ def test_every_nonconstant_mask_has_pointed_defining_candidate():
         grid = GridSpec(*spec)
         scan = scan_candidates(grid)
         full = (1 << grid.point_count) - 1
-        pointed = scan.stable_masks | set(scan.pointed_singletons)
+        pointed = scan.stable_masks | set(scan.vertices)
         for mask in scan.masks:
             if mask not in (0, full):
                 assert mask in pointed, (spec, bin(mask))
@@ -363,7 +369,68 @@ def test_unstable_masks_have_unique_vertex():
         if mask in (0, full) or not (mask & 1):
             continue
         if mask not in scan.stable_masks:
-            assert len(scan.pointed_singletons[mask]) == 1
+            assert scan.vertices[mask] is not None
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(7) for n in range(7)] + [(15, 7)])
+def test_vertex_map_holds_only_masks_outside_the_stable_ones(m, n):
+    scan = scan_candidates(GridSpec(m, n))
+    assert scan.vertices.keys().isdisjoint(scan.stable_masks)
+    assert scan.vertices.keys() <= scan.masks
+
+
+def pivot_sets(grid, directions):
+    """The scan over ``directions`` with a set of pivots per pointed mask:
+    (stable masks, mask -> pivots)."""
+    pts = grid.points()
+    stable, pivots = set(), {}
+    for dx, dy in directions:
+        levels = {}
+        for i, (x, y) in enumerate(pts):
+            levels.setdefault(dy * x - dx * y, []).append(i)
+        below = 0
+        for level in sorted(levels):
+            on = levels[level]
+            first = last = below
+            for j in range(len(on) - 1):
+                first |= 1 << on[j]
+                last |= 1 << on[-1 - j]
+                pivots.setdefault(first, set()).add(pts[on[j]])
+                pivots.setdefault(last, set()).add(pts[on[-1 - j]])
+            below = first | 1 << on[-1]
+            if len(on) >= 2:
+                stable.add(below)
+    return stable, pivots
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (3, 3), (4, 1)])
+def test_vertex_map_marks_masks_pointed_at_two_points(m, n, monkeypatch):
+    # without the axis directions the family lacks the lines of the axis
+    # cuts, which it then reaches only by lines turned about several points
+    grid = GridSpec(m, n)
+    directions = [d for d in candidate_directions(grid) if 0 not in d]
+    monkeypatch.setattr(gridthresh.geometry, "candidate_directions", lambda grid: directions)
+    scan = scan_candidates(grid)
+    stable, pivots = pivot_sets(grid, directions)
+    assert scan.stable_masks == stable
+    assert scan.vertices == {k: next(iter(v)) if len(v) == 1 else None
+                             for k, v in pivots.items() if k not in stable}
+    twice = min(k for k, v in scan.vertices.items() if v is None)
+    bits = format(twice, f"0{grid.point_count}b")[::-1]
+    with pytest.raises(CandidateFamilyError, match=f"unique vertex.*zeros={bits}"):
+        scan.classify(twice)
+
+
+def test_scan_of_15x15_peaks_under_20_mb():
+    # a pivot set per pointed mask, stable ones included, peaked at 32 MB
+    tracemalloc.start()
+    try:
+        scan = scan_candidates(GridSpec(15, 15))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scan.masks) == 40150
+    assert peak < 20_000_000, peak
 
 
 def test_equivalent_stable_candidates_are_identical_after_canonicalization():

@@ -1,5 +1,6 @@
 """Unit tests for the brute-force enumerations and cross-validation."""
 
+import dataclasses
 import random
 from itertools import combinations_with_replacement
 from math import gcd
@@ -18,6 +19,7 @@ from gridthresh import (
     enumerate_by_subsets,
     sieve,
 )
+from gridthresh.errors import CandidateFamilyError
 from gridthresh.geometry import scan_candidates
 from gridthresh.oracle import (
     LINES_EXTENT_CAP,
@@ -210,6 +212,99 @@ def test_oracles_agree_at_the_subset_cap(m, n):
     assert (subsets.stable_count, subsets.unstable_count) == (lines.stable_count,
                                                               lines.unstable_count)
     assert subsets.vertices == lines.vertices
+
+
+# -- the split read by lookup ----------------------------------------------------
+
+def classified_by_mask(grid, masks, scan):
+    """The split of F by one CandidateScan.classify call per mask, with a
+    membership check on every mask outside F: (stable, unstable, vertices)."""
+    full = (1 << grid.point_count) - 1
+    stable = unstable = 0
+    vertices = {}
+    for m in masks:
+        if not (m & 1) or m == full:
+            if m not in scan.masks:
+                raise CandidateFamilyError(
+                    f"candidate family missed a zero-set on grid ({grid.m}, {grid.n}): "
+                    f"zeros={format(m, f'0{grid.point_count}b')[::-1]}")
+            continue
+        kind = scan.classify(m)
+        if kind.is_stable:
+            stable += 1
+        else:
+            unstable += 1
+            vertices[m] = kind.vertex
+    return stable, unstable, vertices
+
+
+def split_or_fault(classify, grid, masks, scan):
+    """The split of ``classify``, or the type and message of its family fault."""
+    try:
+        return classify(grid, masks, scan)
+    except CandidateFamilyError as exc:
+        return type(exc), str(exc)
+
+
+def lookup_split(grid, masks, scan):
+    result = _classified(grid, masks, "lines", scan)
+    return result.stable_count, result.unstable_count, result.vertices
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(9) for n in range(9)])
+def test_split_by_lookup_equals_the_per_mask_classifier(m, n):
+    grid = GridSpec(m, n)
+    scan = scan_candidates(grid)
+    masks = sorted(scan.masks)
+    expected = classified_by_mask(grid, masks, scan)
+    result = lookup_split(grid, masks, scan)
+    assert result == expected
+    assert list(result[2]) == list(expected[2])   # ascending, as the masks
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 2), (3, 3), (0, 3), (4, 3)])
+def test_split_by_lookup_raises_the_per_mask_fault_on_lossy_scans(m, n):
+    grid = GridSpec(m, n)
+    scan = scan_candidates(grid)
+    masks = sorted(scan.masks)
+    rng = random.Random(1000 * m + n)
+    pointed = sorted(scan.vertices)
+    unstable = [k for k in pointed if k & 1]
+
+    def without(missing=(), vertexless=()):
+        return dataclasses.replace(
+            scan, masks=scan.masks - set(missing),
+            vertices={k: v for k, v in scan.vertices.items() if k not in vertexless})
+
+    lossy = [without(missing=[victim]) for victim in rng.sample(masks, min(6, len(masks)))]
+    lossy += [without(vertexless=[victim]) for victim in rng.sample(pointed, min(6, len(pointed)))]
+    for _ in range(6):
+        if unstable:
+            lossy.append(without(missing=[rng.choice(masks)], vertexless=[rng.choice(unstable)]))
+    messages = set()
+    for broken in lossy:
+        expected = split_or_fault(classified_by_mask, grid, masks, broken)
+        assert split_or_fault(lookup_split, grid, masks, broken) == expected
+        if expected[0] is CandidateFamilyError:
+            messages.add("missed" if "missed" in expected[1] else "vertex")
+    assert messages == ({"missed"} if grid.is_degenerate else {"missed", "vertex"})
+
+
+def test_split_by_lookup_reports_the_first_fault_in_mask_order():
+    grid = GridSpec(2, 2)
+    scan = scan_candidates(grid)
+    masks = sorted(scan.masks)
+    unstable = [k for k in scan.vertices if k & 1]
+    low, high = min(unstable), max(unstable)
+    for missing, vertexless, message in ((low, high, "missed"), (high, low, "unique vertex")):
+        broken = dataclasses.replace(
+            scan, masks=scan.masks - {missing},
+            vertices={k: v for k, v in scan.vertices.items() if k != vertexless})
+        bits = format(min(missing, vertexless), f"0{grid.point_count}b")[::-1]
+        with pytest.raises(CandidateFamilyError, match=f"{message}.*zeros={bits}"):
+            _classified(grid, masks, "lines", broken)
+        assert split_or_fault(lookup_split, grid, masks, broken) == split_or_fault(
+            classified_by_mask, grid, masks, broken)
 
 
 def test_subsets_cap_admits_collinear_grids_up_to_the_cap():
