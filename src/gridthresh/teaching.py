@@ -33,9 +33,9 @@ their sizes are still computed and reported.
 
 The universe is an EnumerationResult; the rule reads the stability of f
 and its complement from that result's candidate scan, by lookup in its
-stable masks and vertex map, so a census scans its grid once.  A census costs
-O(|universe| (P + |universe|)), so grids above TEACH_POINT_CAP points are
-refused with CapacityError before anything is enumerated.
+stable masks and vertex map, so a census scans its grid once.  A census
+costs O(|universe| (P + |universe|)), so grids above TEACH_POINT_CAP
+points are refused with CapacityError before anything is enumerated.
 """
 
 from __future__ import annotations
