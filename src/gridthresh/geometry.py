@@ -23,12 +23,26 @@ end of its points.  A run of all of them is the line's own zero-set, a
 stable function; a proper run ending at r is the zero-set of the line
 turned slightly about r, through r alone: a pointed line at r.
 
-So scan_candidates takes the primitive directions (dx, dy), |dx| <= m,
-|dy| <= n, antipodes giving both orientations, and ORs the levels
+So the family is read off the primitive directions (dx, dy), |dx| <= m,
+|dy| <= n, antipodes giving both orientations: a direction ORs its levels
 dy*x - dx*y into a running zero-set in ascending order.  At a level of
 k >= 2 points the running set is stable, and the set before the level
 plus the level's first or last j points (1 <= j < k) is pointed at the
 j-th of them.  Unstable functions have only pointed lines, at the vertex.
+
+scan_candidates runs only the directions d > (0, 0), compared
+lexicographically (dx > 0, or dx = 0 < dy), and reads each antipode's
+sets off as complements.  The antipode
+-d visits the same levels in descending order, and the points of a
+level in the same row-major order.  Take a level of points p_1 .. p_k,
+with A the points below it and B those above, for d.  The antipode's
+set B + {p_1 .. p_j}, pointed at p_j, is the complement of
+A + {p_(j+1) .. p_k}, the set of d with the last k - j points, pointed
+at p_(j+1).  So each set of d with the first j points (pivot p_j) has
+its complement pointed at p_(j+1), and each set with the last j points
+(pivot p_(k-j+1)) has its complement pointed at p_(k-j), one point
+further in along the level.  The antipode's stable set at the level,
+B plus the level, is the complement of A, the set below the level for d.
 
 The scan records each pointed line's pivot against its zero-set, so a
 mask pointed at two different points is marked as having no vertex.
@@ -189,17 +203,28 @@ def complement_fn(f: ThresholdFn) -> ThresholdFn:
     return ThresholdFn(f.grid, _complement_mask(f.grid, f.zeros))
 
 
+# each byte value with its bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _complement_mask(grid: GridSpec, zeros: int) -> int:
-    """The zero-set of complement_fn: the P-bit reversal of the one-set."""
+    """The zero-set of complement_fn: the P-bit reversal of the one-set.
+
+    Bit j of the one-set, little-endian in ``size`` bytes, lands at bit
+    8 size - 1 - j once each byte is reversed and the bytes are read
+    big-endian; the shift takes it to P - 1 - j.
+    """
     count = grid.point_count
+    size = (count + 7) // 8
     ones = ~zeros & ((1 << count) - 1)
-    return int(format(ones, f"0{count}b")[::-1], 2)
+    reversed_bytes = ones.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(reversed_bytes, "big") >> (8 * size - count)
 
 
 def candidate_directions(grid: GridSpec) -> Iterator[tuple[int, int]]:
     """The primitive directions (dx, dy), |dx| <= m, |dy| <= n, of the
     lines through two lattice points, antipodes included for both
-    orientations downstream."""
+    orientations; scan_candidates runs those above (0, 0)."""
     for dx in range(-grid.m, grid.m + 1):
         for dy in range(-grid.n, grid.n + 1):
             if math.gcd(dx, dy) == 1:
@@ -262,36 +287,57 @@ def _witness(grid: GridSpec, mask: int, label: str) -> str:
 
 def scan_candidates(grid: GridSpec) -> CandidateScan:
     """Evaluate every candidate line, recording zero-sets, stable sets and
-    pivots, as the module docstring sets out.  The two constants are
-    seeded, since 0 x 0 has no direction."""
+    pivots, as the module docstring sets out: the directions d > (0, 0)
+    are scanned, and each set of an antipode is read off as the
+    complement of a set of d.  The two constants are seeded, since 0 x 0
+    has no direction."""
     pts = grid.points()
+    full = (1 << len(pts)) - 1
+    bit = [1 << i for i in range(len(pts))]
     stable: set[int] = set()
     # mask -> its pivot, None once a second one turns up; pivots are
     # compared by identity, since each point is one tuple of pts
     vertices: dict[int, Optional[Point]] = {}
-    for dx, dy in candidate_directions(grid):
+    record = vertices.setdefault
+    for d in candidate_directions(grid):
+        if d < (0, 0):
+            continue   # its sets are the complements of its antipode's
+        dx, dy = d
         levels: dict[int, list[int]] = {}
         for i, (x, y) in enumerate(pts):
             levels.setdefault(dy * x - dx * y, []).append(i)
         below = 0
         for level in sorted(levels):
             on = levels[level]   # in row-major order (y, then x): along the line
+            if len(on) == 1:
+                below |= bit[on[0]]
+                continue
             first = last = below
             for j in range(len(on) - 1):
-                first |= 1 << on[j]
-                last |= 1 << on[-1 - j]
-                pivot = pts[on[j]]
-                if vertices.setdefault(first, pivot) is not pivot:
+                first |= bit[on[j]]
+                last |= bit[on[-1 - j]]
+                # each set and its complement, a set of the antipode whose
+                # pivot is the next point in along the level
+                head, tail = pts[on[j]], pts[on[-1 - j]]
+                if record(first, head) is not head:
                     vertices[first] = None
-                pivot = pts[on[-1 - j]]
-                if vertices.setdefault(last, pivot) is not pivot:
+                if record(last, tail) is not tail:
                     vertices[last] = None
-            below = first | 1 << on[-1]
-            if len(on) >= 2:
-                stable.add(below)
+                head, tail = pts[on[j + 1]], pts[on[-2 - j]]
+                mask = full ^ first
+                if record(mask, head) is not head:
+                    vertices[mask] = None
+                mask = full ^ last
+                if record(mask, tail) is not tail:
+                    vertices[mask] = None
+            above = first | bit[on[-1]]
+            # the line through the level, oriented either way
+            stable.add(above)
+            stable.add(full ^ below)
+            below = above
     for mask in stable:
         vertices.pop(mask, None)
-    masks = frozenset().union(stable, vertices, (0, (1 << len(pts)) - 1))
+    masks = frozenset().union(stable, vertices, (0, full))
     return CandidateScan(grid, masks, frozenset(stable), vertices)
 
 

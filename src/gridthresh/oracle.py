@@ -14,7 +14,9 @@ Two independent enumerations of all threshold functions on a grid:
 Both oracles read the stable/unstable split of F and its vertices from a
 candidate scan, by lookup in its stable masks and vertex map, and both
 take an optional ``scan``: the scan of the grid that the other oracle
-already holds, so one request scans the candidate family once.
+already holds, so one request scans the candidate family once.  An
+EnumerationResult holds the zero bit-sets as a frozenset; their
+ascending tuple and their ThresholdFn list are built only when read.
 
 Function identity is extensional: zero bit-sets, deduplicated by hash.
 The subset oracle is the arbiter wherever it can run; cross_validate
@@ -31,10 +33,26 @@ index, are monotone across rows.  So every separable dichotomy is a
 staircase, all rows prefixes or all suffixes with monotone lengths, and
 the oracle lists those directly from the monotone length sequences: at
 most 4 C(m + n + 2, n + 1) of them (484 of the 2^20 subsets of a 4 x 3
-grid).  The hull test alone decides membership for the staircases, and
-it reads only row endpoints: the zeros and the ones of a row are
-intervals, and the hull of an interval is the hull of its two ends, so a
-test takes at most 4(n + 1) points instead of (m + 1)(n + 1).
+grid).  The hull test alone decides membership for the staircases.
+
+It reads one end of each row: of the prefix staircase of L, the right
+end (l - 1, y) of a row's zeros and the left end (l, y) of its ones,
+for its row length l = L[y], at most 2(n + 1) points instead of
+(m + 1)(n + 1).  These two chains decide as the whole sides do.  A line
+that separates the sides separates the chains, their subsets.
+Conversely, let a x + b y + c be negative on the zeros' chain and
+positive on the ones' chain (disjoint hulls are strictly separable):
+
+* some row is proper (0 < l < m + 1): its two ends (l - 1, y) and (l, y)
+  straddle the line, so a > 0.  A zero (x, y) of a row has
+  x <= l - 1, so a x + b y + c is at most its value at (l - 1, y),
+  which is negative; a one has x >= l and a positive value.  The line
+  separates the whole sides;
+* no row is proper: L is non-decreasing, so its rows of ones (l = 0)
+  lie below its rows of zeros (l = m + 1), and a horizontal line between
+  them separates the sides, while the chains, x = 0 on the lower rows
+  and x = m on the upper, are disjoint segments.  Both tests say
+  separable.
 
 It runs once per symmetry orbit of staircases, not once per staircase.
 The four renderings of a length sequence L (as given or reversed, every
@@ -52,8 +70,9 @@ staircase itself or of its image under a lattice symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Literal, Optional
+from typing import Iterable, Literal, Optional
 
 from .counting import breakdown
 from .errors import CapacityError
@@ -63,15 +82,17 @@ from .numtheory import NTTables
 
 # the cap bounds hull tests, not memory: a grid has C(m + n + 2, n + 1)
 # length sequences and about half as many hull tests, most at 7 x 7 (12 870
-# sequences) within the cap, where cross_validate takes about 0.5 s and
-# `oracle --m 7 --n 7` about 0.6 s and 33 MB peak RSS (best of 5, 2 vCPUs,
-# Python 3.11); cross_validate runs the subset oracle on every grid within
-# the cap, and past it the line oracle alone
+# sequences) within the cap, where cross_validate takes about 0.26 s and
+# `oracle --m 7 --n 7` 0.16-0.23 s and 31 MB peak RSS (3 fresh processes,
+# 2 shared vCPUs, Python 3.11); cross_validate runs the subset oracle on
+# every grid within the cap, and past it the line oracle alone
 SUBSET_POINT_CAP = 64
-# the scan grows with (2m + 1)(2n + 1) directions times (m + 1)(n + 1) points:
-# cross_validate takes about 1.0 s and 81 MB peak RSS on 20 x 20, 2.6 s and
-# 157 MB on 25 x 25 (2 vCPUs, Python 3.11); past the cap the line oracle is refused
-LINES_EXTENT_CAP = 20
+# the scan grows with (2m + 1)(2n + 1) / 2 directions times (m + 1)(n + 1)
+# points, and the result with its masks: `oracle --method lines` takes
+# 0.5-0.7 s and 66 MB peak RSS on 20 x 20, 1.7-1.8 s and 128 MB on 25 x 25,
+# and 3.5-3.7 s and 260 MB on 30 x 30, its 561 834 functions (3 fresh
+# processes, 2 shared vCPUs, Python 3.11); past the cap it is refused
+LINES_EXTENT_CAP = 30
 
 Method = Literal["subsets", "lines"]
 
@@ -97,26 +118,32 @@ def require_admitted(method: Method, grid: GridSpec) -> None:
 class EnumerationResult:
     """All threshold functions of one grid, with the F-class split.
 
-    masks holds the zero bit-sets of the functions, built once with the
-    result.  stable_count and unstable_count tally members of F only.
-    vertices maps the zero bit-set of each unstable F-member to its
-    vertex; scan is the candidate scan the split was read from.
+    masks holds the zero bit-sets of the functions.  zero_sets, the same
+    bit-sets in ascending order, and functions, their ThresholdFn list,
+    are built on first access and then kept.  stable_count and
+    unstable_count tally members of F only.  vertices maps the zero
+    bit-set of each unstable F-member to its vertex, in ascending order;
+    scan is the candidate scan the split was read from.
     """
 
     grid: GridSpec
-    functions: list[ThresholdFn]
+    masks: frozenset[int] = field(repr=False)
     stable_count: int
     unstable_count: int
     method: Method
     vertices: dict[int, Point]
     scan: CandidateScan = field(repr=False)
-    masks: frozenset[int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "masks", frozenset(f.zeros for f in self.functions))
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return len(self.masks)
+
+    @cached_property
+    def zero_sets(self) -> tuple[int, ...]:
+        return tuple(sorted(self.masks))
+
+    @cached_property
+    def functions(self) -> list[ThresholdFn]:
+        return [ThresholdFn(self.grid, zeros) for zeros in self.zero_sets]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +262,15 @@ def _renderings(lengths: tuple[int, ...], width: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _chains(lengths: tuple[int, ...], m: int) -> tuple[list[Point], list[Point]]:
+    """The two sides of the prefix staircase of ``lengths`` as its hull
+    test reads them: the right end (l - 1, y) of each row's zeros and
+    the left end (l, y) of each row's ones."""
+    zeros = [(length - 1, y) for y, length in enumerate(lengths) if length]
+    ones = [(length, y) for y, length in enumerate(lengths) if length <= m]
+    return zeros, ones
+
+
 def enumerate_by_subsets(grid: GridSpec, *,
                          scan: Optional[CandidateScan] = None) -> EnumerationResult:
     """Every subset of the lattice, kept iff it is a separable zero-set.
@@ -243,7 +279,8 @@ def enumerate_by_subsets(grid: GridSpec, *,
     not separable, and every staircase is decided by an exact hull test,
     one per symmetry orbit.  For a non-decreasing length sequence L the
     test splits the lattice into the prefix rendering of L (zeros) and
-    the rest (ones), each side given by the two ends of its rows.  Its
+    the rest (ones), each side given by its chain of row ends (_chains,
+    module docstring).  Its
     verdict holds for all four renderings of L, since the reflections
     x -> m - x and y -> n - y that map them onto one another are affine
     bijections of the lattice and preserve hull disjointness.  It holds
@@ -266,16 +303,12 @@ def enumerate_by_subsets(grid: GridSpec, *,
         partner = tuple(width - length for length in reversed(lengths))
         if partner < lengths:
             continue   # decided when the partner came up
-        zeros = [(x, y) for y, length in enumerate(lengths) if length
-                 for x in (0, length - 1)]
-        ones = [(x, y) for y, length in enumerate(lengths) if length < width
-                for x in (length, grid.m)]
-        if is_separable(zeros, ones):
+        if is_separable(*_chains(lengths, grid.m)):
             kept.update(_renderings(lengths, width))
             kept.update(_renderings(partner, width))
     if scan is None:
         scan = scan_candidates(grid)
-    return _classified(grid, sorted(kept), "subsets", scan)
+    return _classified(grid, kept, "subsets", scan)
 
 
 def enumerate_by_lines(grid: GridSpec, *,
@@ -287,13 +320,13 @@ def enumerate_by_lines(grid: GridSpec, *,
     require_admitted("lines", grid)
     if scan is None:
         scan = scan_candidates(grid)
-    return _classified(grid, sorted(scan.masks), "lines", scan)
+    return _classified(grid, scan.masks, "lines", scan)
 
 
-def _classified(grid: GridSpec, masks: list[int], method: Method,
+def _classified(grid: GridSpec, masks: Iterable[int], method: Method,
                 scan: CandidateScan) -> EnumerationResult:
-    """The enumeration result of ``masks`` (ascending), with F split by
-    lookups in the scan, as CandidateScan.classify splits one mask.
+    """The enumeration result of ``masks``, with F split by lookups in
+    the scan, as CandidateScan.classify splits one mask.
 
     Every mask must be in the scan, and every unstable one in F must have
     a vertex: the first fault in ascending order, a missing mask (in F or
@@ -302,17 +335,19 @@ def _classified(grid: GridSpec, masks: list[int], method: Method,
     """
     if scan.grid != grid:
         raise ValueError("candidate scan belongs to a different grid")
+    masks = frozenset(masks)
     full = (1 << grid.point_count) - 1
     in_f = [m for m in masks if m & 1 and m != full]
-    unstable = [] if grid.is_degenerate else [m for m in in_f if m not in scan.stable_masks]
+    unstable = [] if grid.is_degenerate else sorted(
+        m for m in in_f if m not in scan.stable_masks)
     vertices = dict(zip(unstable, map(scan.vertices.get, unstable)))
-    if not scan.masks.issuperset(masks) or None in vertices.values():
-        faults = set(masks).difference(scan.masks)
-        faults.update(m for m, vertex in vertices.items() if vertex is None)
+    if not masks <= scan.masks or None in vertices.values():
+        faults = masks - scan.masks
+        faults |= {m for m, vertex in vertices.items() if vertex is None}
         scan.classify(min(faults))   # raises the fault with its witness
     return EnumerationResult(
         grid=grid,
-        functions=[ThresholdFn(grid, mask) for mask in masks],
+        masks=masks,
         stable_count=len(in_f) - len(unstable),
         unstable_count=len(unstable),
         method=method,
@@ -420,5 +455,5 @@ def cross_validate(grid: GridSpec, tables: NTTables, *,
 def dump_functions(result: EnumerationResult, path: str) -> None:
     """Write one bit-string per function (row-major zeros, bit 0 first)."""
     with open(path, "w", encoding="ascii") as fh:
-        for fn in result.functions:
-            fh.write(_bits(result.grid, fn.zeros) + "\n")
+        for zeros in result.zero_sets:
+            fh.write(_bits(result.grid, zeros) + "\n")

@@ -29,7 +29,13 @@ f's zero-set as witness.
 
 The census compares every answer against the rule, surfacing
 disagreements instead of hiding them.  Constants fall outside the rule;
-their sizes are still computed and reported.
+their sizes are still computed and reported.  It works on zero bit-sets
+alone: a CensusResult keeps each function's forced points, as indices
+into the lexicographic points, and the rule's size, and reads its
+histogram and mismatches off them; the per-function TeachingReport list
+is built only when ``reports`` is read.  Its first fault is the one a
+function-by-function pass meets first: f's certificate, then f's
+vertex, then, when f is stable, its complement's.
 
 The universe is an EnumerationResult; the rule reads the stability of f
 and its complement from that result's candidate scan, by lookup in its
@@ -44,8 +50,10 @@ import csv
 import io
 import threading
 import weakref
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .errors import CandidateFamilyError, CapacityError
 from .geometry import CandidateScan, Point, ThresholdFn, _complement_mask, _witness
@@ -54,9 +62,9 @@ from .grid import GridSpec
 from .oracle import EnumerationResult, enumerate_by_lines
 
 # an 8 x 8 grid (81 points, 4082 functions, the most functions of any grid
-# within this cap and the line oracle's) takes about 0.25 s and 32 MB peak
-# RSS for `teach --check` (2 vCPUs, Python 3.11); past the cap a census is
-# refused before enumerating
+# within this cap) takes 0.11-0.13 s and 31 MB peak RSS for `teach --check`
+# (3 fresh processes, 2 shared vCPUs, Python 3.11); past the cap a census
+# is refused before enumerating
 TEACH_POINT_CAP = 81
 
 
@@ -76,19 +84,42 @@ class TeachingReport:
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Teaching-size histogram of a grid with the per-function reports."""
+    """Minimum teaching sets and rule sizes of every function of a grid.
+
+    zero_sets are the universe's functions in ascending order, and forced
+    and predicted run parallel to them: each function's minimum teaching
+    set as indices into the grid's points in lexicographic order, and the
+    rule's size (None for a constant).  reports builds the per-function
+    TeachingReport list on first access.
+    """
 
     grid: GridSpec
-    reports: list[TeachingReport]
+    zero_sets: tuple[int, ...]
+    forced: list[list[int]]
+    predicted: list[Optional[int]]
+
+    @cached_property
+    def reports(self) -> list[TeachingReport]:
+        return self._reports(range(len(self.zero_sets)))
 
     def histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for r in self.reports:
-            hist[r.min_size] = hist.get(r.min_size, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(map(len, self.forced)).items()))
 
     def mismatches(self) -> list[TeachingReport]:
-        return [r for r in self.reports if r.rule_agrees is False]
+        return self._reports(i for i, (forced, predicted)
+                             in enumerate(zip(self.forced, self.predicted))
+                             if predicted is not None and predicted != len(forced))
+
+    def _reports(self, indices: Iterable[int]) -> list[TeachingReport]:
+        points, _ = _lexicographic(self.grid)
+        reports = []
+        for i in indices:
+            forced, predicted = self.forced[i], self.predicted[i]
+            reports.append(TeachingReport(
+                ThresholdFn(self.grid, self.zero_sets[i]), len(forced),
+                tuple(points[j] for j in forced), predicted,
+                None if predicted is None else predicted == len(forced)))
+        return reports
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -134,22 +165,24 @@ class _Teacher:
 
     def __init__(self, universe: EnumerationResult):
         grid = self.grid = universe.grid
-        self.scan = universe.scan
         self.members = universe.masks
-        self.points, self.bits = _lexicographic(grid)
+        points, self.bits = _lexicographic(grid)
         # transpose through binary strings: string position k is bit P-1-k
         # of a mask, and string position i of a column is function i
         width = grid.point_count
-        rows = [format(f.zeros, f"0{width}b") for f in universe.functions]
+        rows = [format(zeros, f"0{width}b") for zeros in universe.zero_sets]
         by_bit = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
-        self.columns = [by_bit[grid.bit_index(x, y)] for x, y in self.points]
+        self.columns = [by_bit[grid.bit_index(x, y)] for x, y in points]
         self.everyone = (1 << len(rows)) - 1
 
-    def minimum(self, zeros: int) -> tuple[int, tuple[Point, ...]]:
-        forced = _forced(zeros, self.bits, self.members)
+    def minimum(self, zeros: int) -> list[int]:
+        """The minimum teaching set of f: its forced points, as indices
+        into the points in lexicographic order."""
+        bits, columns = self.bits, self.columns
+        forced = _forced(zeros, bits, self.members)
         agree = self.everyone  # the members that agree with f on the forced set
         for j in forced:
-            agree &= self.columns[j] if zeros & self.bits[j] else ~self.columns[j]
+            agree &= columns[j] if zeros & bits[j] else ~columns[j]
         # every teaching set holds the forced points; if they alone tell f
         # (itself a member) from every other member, they are the only
         # minimum teaching set; if not, the universe is at fault
@@ -157,7 +190,7 @@ class _Teacher:
             raise CandidateFamilyError(_witness(
                 self.grid, zeros,
                 f"forced points fail to teach a function on grid ({self.grid.m}, {self.grid.n})"))
-        return len(forced), tuple(self.points[j] for j in forced)
+        return forced
 
 
 # one teacher per universe, built on first use: the columns cost
@@ -175,22 +208,25 @@ def _teacher(universe: EnumerationResult) -> _Teacher:
         return teacher
 
 
-def _predict(f: ThresholdFn, scan: CandidateScan) -> int:
-    if f.grid.is_degenerate:
+def _predict(grid: GridSpec, zeros: int, scan: CandidateScan) -> int:
+    """The rule's size for a non-constant zero-set of the grid.
+
+    The stability of f, and of its complement when f is stable, is read
+    as CandidateScan.classify reads it, by lookup; an unstable one
+    without a vertex is a family fault, raised with its zero-set as
+    witness.
+    """
+    if grid.is_degenerate:
         return 2
-    if _unstable(f.zeros, scan) or _unstable(_complement_mask(f.grid, f.zeros), scan):
-        return 3
-    return 4
-
-
-def _unstable(mask: int, scan: CandidateScan) -> bool:
-    """CandidateScan.classify's verdict on a non-constant zero-set of a
-    proper grid, by lookup."""
-    if mask in scan.stable_masks:
-        return False
-    if scan.vertices.get(mask) is None:
-        scan.classify(mask)   # a family fault: raises with the mask as witness
-    return True
+    stable = scan.stable_masks
+    unstable = zeros
+    if zeros in stable:
+        unstable = _complement_mask(grid, zeros)
+        if unstable in stable:
+            return 4
+    if scan.vertices.get(unstable) is None:
+        scan.classify(unstable)   # raises with the zero-set as witness
+    return 3
 
 
 def min_teaching_set(f: ThresholdFn, universe: EnumerationResult) -> TeachingReport:
@@ -201,15 +237,10 @@ def min_teaching_set(f: ThresholdFn, universe: EnumerationResult) -> TeachingRep
     """
     _check_member(f, universe)
     _check_capacity(f.grid)
-    return _report_for(f, _teacher(universe))
-
-
-def _report_for(f: ThresholdFn, teacher: _Teacher) -> TeachingReport:
-    size, witness = teacher.minimum(f.zeros)
-    if f.is_constant:
-        return TeachingReport(f, size, witness, None, None)
-    predicted = _predict(f, teacher.scan)
-    return TeachingReport(f, size, witness, predicted, predicted == size)
+    forced = _teacher(universe).minimum(f.zeros)
+    predicted = None if f.is_constant else _predict(f.grid, f.zeros, universe.scan)
+    # the report of a census of f alone
+    return CensusResult(f.grid, (f.zeros,), [forced], [predicted]).reports[0]
 
 
 def forced_points(f: ThresholdFn, universe: EnumerationResult) -> tuple[Point, ...]:
@@ -231,11 +262,12 @@ def predict_size(f: ThresholdFn, universe: EnumerationResult) -> int:
     if f.is_constant:
         raise ValueError("the size rule does not apply to constant functions")
     _check_member(f, universe)
-    return _predict(f, universe.scan)
+    return _predict(f.grid, f.zeros, universe.scan)
 
 
 def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> CensusResult:
-    """Teaching reports for every threshold function of the grid.
+    """The minimum teaching set and the rule's size of every threshold
+    function of the grid.
 
     ``universe``, if given, is the grid's enumeration and is not redone.
     """
@@ -245,5 +277,9 @@ def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> Cens
     elif universe.grid != grid:
         raise ValueError("universe was enumerated for a different grid")
     teacher = _teacher(universe)
-    reports = [_report_for(f, teacher) for f in universe.functions]
-    return CensusResult(grid=grid, reports=reports)
+    scan, full = universe.scan, (1 << grid.point_count) - 1
+    forced, predicted = [], []
+    for zeros in universe.zero_sets:
+        forced.append(teacher.minimum(zeros))
+        predicted.append(None if zeros == 0 or zeros == full else _predict(grid, zeros, scan))
+    return CensusResult(grid, universe.zero_sets, forced, predicted)

@@ -421,6 +421,27 @@ def test_vertex_map_marks_masks_pointed_at_two_points(m, n, monkeypatch):
         scan.classify(twice)
 
 
+def scan_of_every_direction(grid):
+    """The scan over every direction and its antipode alike, each set
+    recorded as the direction's own running set: (masks, stable masks,
+    vertex map)."""
+    stable, pivots = pivot_sets(grid, candidate_directions(grid))
+    vertices = {k: next(iter(v)) if len(v) == 1 else None
+                for k, v in pivots.items() if k not in stable}
+    return stable | set(pivots) | {0, (1 << grid.point_count) - 1}, stable, vertices
+
+
+@pytest.mark.parametrize("m, ns", [(m, range(11)) for m in range(11)] + [(15, [15])],
+                         ids=[f"m{m}" for m in range(11)] + ["15x15"])
+def test_antipodal_scan_equals_the_scan_of_every_direction(m, ns):
+    # the scan reads each antipode's sets off the direction's complements,
+    # with pivots shifted one point along the level
+    for n in ns:
+        grid = GridSpec(m, n)
+        scan = scan_candidates(grid)
+        assert (scan.masks, scan.stable_masks, scan.vertices) == scan_of_every_direction(grid), n
+
+
 def test_scan_of_15x15_peaks_under_20_mb():
     # a pivot set per pointed mask, stable ones included, peaked at 32 MB
     tracemalloc.start()

@@ -24,6 +24,7 @@ from gridthresh.geometry import scan_candidates
 from gridthresh.oracle import (
     LINES_EXTENT_CAP,
     SUBSET_POINT_CAP,
+    _chains,
     _classified,
     _hull,
     _renderings,
@@ -202,6 +203,28 @@ def test_one_hull_test_per_complement_pair_of_length_sequences(m, n, monkeypatch
     assert len(calls) == len(pairs)
 
 
+def four_row_ends(lengths, m):
+    """The sides of the prefix staircase of ``lengths`` by both ends of
+    every row of zeros and every row of ones."""
+    zeros = [(x, y) for y, length in enumerate(lengths) if length for x in (0, length - 1)]
+    ones = [(x, y) for y, length in enumerate(lengths) if length <= m for x in (length, m)]
+    return zeros, ones
+
+
+@pytest.mark.parametrize("m", range(SUBSET_POINT_CAP))
+def test_chain_ends_decide_as_the_four_row_ends(m):
+    # every staircase the subset oracle tests (one length sequence per
+    # complement pair) on every grid within the cap: the zeros' right ends
+    # and the ones' left ends give the verdict of all four row ends
+    width = m + 1
+    for n in range(SUBSET_POINT_CAP // width):
+        for lengths in combinations_with_replacement(range(width + 1), n + 1):
+            if tuple(width - length for length in reversed(lengths)) < lengths:
+                continue
+            chains = _chains(lengths, m)
+            assert is_separable(*chains) == is_separable(*four_row_ends(lengths, m)), (n, lengths)
+
+
 @pytest.mark.parametrize("m, n", [(7, 7), (8, 6), (6, 8), (15, 3), (3, 15)])
 def test_oracles_agree_at_the_subset_cap(m, n):
     # each oracle on its own scan: masks, split and vertices
@@ -315,9 +338,18 @@ def test_subsets_cap_admits_collinear_grids_up_to_the_cap():
 
 
 def test_masks_are_built_once():
-    for result in (enumerate_by_subsets(GridSpec(1, 1)), enumerate_by_lines(GridSpec(1, 1))):
+    # the masks with the result, the ascending tuple and the functions on
+    # first access
+    for result in (enumerate_by_subsets(GridSpec(1, 1)), enumerate_by_lines(GridSpec(1, 1)),
+                   enumerate_by_subsets(GridSpec(3, 2)), enumerate_by_lines(GridSpec(3, 2))):
         assert result.masks is result.masks
         assert result.masks == frozenset(f.zeros for f in result.functions)
+        assert result.zero_sets == tuple(sorted(result.masks))
+        assert result.zero_sets is result.zero_sets and result.functions is result.functions
+        assert [f.zeros for f in result.functions] == list(result.zero_sets)
+        assert list(result.vertices) == sorted(result.vertices)
+    scan = scan_candidates(GridSpec(3, 2))
+    assert enumerate_by_lines(GridSpec(3, 2), scan=scan).masks is scan.masks
 
 
 def test_subsets_capacity_error():
@@ -370,7 +402,7 @@ def test_lines_at_the_extent_cap_matches_formula():
 
 def test_cross_validate_on_the_line_cap_square():
     # formulas, split and line oracle against each other, past the subset cap
-    assert LINES_EXTENT_CAP == 20
+    assert LINES_EXTENT_CAP == 30
     grid = GridSpec(LINES_EXTENT_CAP, LINES_EXTENT_CAP)
     report = cross_validate(grid, sieve(LINES_EXTENT_CAP))
     assert report.subset_total is None

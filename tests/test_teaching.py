@@ -11,17 +11,23 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import gridthresh.oracle
 import gridthresh.teaching
 from gridthresh import (
     GridSpec,
     ThresholdFn,
     census,
+    complement_fn,
+    cross_validate,
     enumerate_by_lines,
+    enumerate_by_subsets,
     forced_points,
     min_teaching_set,
     predict_size,
+    sieve,
 )
 from gridthresh.errors import CandidateFamilyError
+from gridthresh.teaching import TeachingReport
 
 from conftest import RANDOM_SEED
 
@@ -271,7 +277,7 @@ def thinned(universe, rng, share):
     keep = [f for f in universe.functions
             if f == centre or (f.zeros not in neighbours
                                and (f.is_constant or rng.random() >= share))]
-    return dataclasses.replace(universe, functions=keep)
+    return dataclasses.replace(universe, masks=frozenset(f.zeros for f in keep))
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (0, 5)])
@@ -291,3 +297,125 @@ def test_census_rule_holds_on_every_grid_up_to_6x6(universe):
             for r in result.reports:
                 if not r.fn.is_constant:
                     assert r.min_size in (3, 4), (m, n, r.fn.zeros)
+
+
+def census_by_function(universe):
+    """The census one function at a time, a TeachingReport each: the
+    forced points by flips, their certificate by counting the members
+    that agree with f on them, and the rule by lookups of f and, when f
+    is stable, of its pointwise complement.  The first fault raises, in
+    that order."""
+    grid, scan, members = universe.grid, universe.scan, universe.masks
+    points = sorted(grid.points())
+
+    def unstable(mask):
+        if mask in scan.stable_masks:
+            return False
+        if scan.vertices.get(mask) is None:
+            scan.classify(mask)   # raises the fault
+        return True
+
+    def complement(f):
+        return sum(1 << grid.bit_index(x, y) for x, y in grid.points()
+                   if f.value_at(grid.m - x, grid.n - y) == 1)
+
+    reports = []
+    for f in universe.functions:
+        witness = tuple(p for p in points if f.zeros ^ (1 << grid.bit_index(*p)) in members)
+        on = sum(1 << grid.bit_index(*p) for p in witness)
+        if sum(1 for g in members if not (g ^ f.zeros) & on) != 1:
+            raise CandidateFamilyError(
+                f"forced points fail to teach a function on grid ({grid.m}, {grid.n}): "
+                f"zeros={format(f.zeros, f'0{grid.point_count}b')[::-1]}")
+        if f.is_constant:
+            predicted = None
+        elif grid.is_degenerate:
+            predicted = 2
+        else:
+            predicted = 3 if unstable(f.zeros) or unstable(complement(f)) else 4
+        reports.append(TeachingReport(f, len(witness), witness, predicted,
+                                      None if predicted is None else predicted == len(witness)))
+    return reports
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_census_equals_the_census_by_function(universe, m):
+    for n in range(7):
+        enum = universe(m, n)
+        result = census(enum.grid, universe=enum)
+        assert result.reports == census_by_function(enum), n
+        assert result.mismatches() == [r for r in result.reports if r.rule_agrees is False]
+
+
+def fault_of(run, *args):
+    """The type and message of the CandidateFamilyError ``run`` raises, if any."""
+    try:
+        run(*args)
+    except CandidateFamilyError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 5)])
+def test_census_raises_the_first_fault_of_the_census_by_function(universe, m, n):
+    # certificate faults from thinned universes, vertex faults of f or of
+    # its complement from scans with vertex gaps, and both at once
+    rng = random.Random(RANDOM_SEED + 11 * m + n)
+    full = universe(m, n)
+    scan = full.scan
+    pointed = sorted(scan.vertices)
+    cases = [thinned(full, rng, share) for share in (0.2, 0.5, 0.8)]
+    for gaps in (1, 2, 5, 5):
+        victims = set(rng.sample(pointed, min(gaps, len(pointed))))
+        lossy = dataclasses.replace(
+            scan, vertices={k: v for k, v in scan.vertices.items() if k not in victims})
+        cases.append(dataclasses.replace(full, scan=lossy))
+        cases.append(dataclasses.replace(thinned(full, rng, 0.5), scan=lossy))
+    kinds = set()
+    for case in cases:
+        expected = fault_of(census_by_function, case)
+        assert fault_of(census, case.grid, case) == expected
+        kinds.add(expected and ("vertex" if "vertex" in expected[1] else "certificate"))
+    # a degenerate grid's rule reads no vertex, so its gaps raise nothing
+    assert kinds == ({"certificate", None} if full.grid.is_degenerate
+                     else {"certificate", "vertex"})
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3), (3, 3)])
+def test_census_meets_a_complement_fault_at_the_stable_function(universe, m, n):
+    # f is stable and its complement c unstable; with the vertices of c
+    # and of an unstable g between them gone, the first fault is c's,
+    # met at f before g's own
+    enum = universe(m, n)
+    grid, scan = enum.grid, enum.scan
+    unstable = sorted(scan.vertices)
+    for f in enum.zero_sets:
+        c = complement_fn(ThresholdFn(grid, f)).zeros
+        between = [g for g in unstable if f < g < c]
+        if f in scan.stable_masks and c in scan.vertices and between:
+            break
+    else:
+        raise AssertionError("no stable function with such a complement")
+    gone = {c, between[0]}
+    lossy = dataclasses.replace(
+        scan, vertices={k: v for k, v in scan.vertices.items() if k not in gone})
+    case = dataclasses.replace(enum, scan=lossy)
+    expected = fault_of(census_by_function, case)
+    assert expected[1].endswith("zeros=" + format(c, f"0{grid.point_count}b")[::-1])
+    assert fault_of(census, grid, case) == expected
+
+
+def test_oracles_and_census_build_no_function_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a ThresholdFn")
+
+    monkeypatch.setattr(gridthresh.oracle, "ThresholdFn", refuse)
+    monkeypatch.setattr(gridthresh.teaching, "ThresholdFn", refuse)
+    grid = GridSpec(3, 2)
+    subsets = enumerate_by_subsets(grid)
+    lines = enumerate_by_lines(grid, scan=subsets.scan)
+    assert cross_validate(grid, sieve(8), subsets=subsets, lines=lines).all_match
+    result = census(grid, universe=lines)
+    assert result.histogram() == {3: 64, 4: 36} and result.mismatches() == []
+    with pytest.raises(AssertionError, match="ThresholdFn"):
+        result.reports
