@@ -2,12 +2,12 @@
 
 Subcommands: count, oracle, oeis, teach, asympt, bench.  Big integers are
 always rendered as exact decimal strings.  Exit codes: 0 success (and all
-checks matched), 1 usage error (bad arguments, or an output path that
-cannot be written), 2 capacity error, 3 validation mismatch (a formula or
-oracle disagreement, or a gap in the candidate-line family found by
-`oracle` or `teach`; the witness goes to stderr), 4 internal error (any
-other exception the library raises, a fault of the library and not of
-the request, reported on one line).
+checks matched), 1 usage error (bad arguments, or an output path or
+stdout that cannot be written), 2 capacity error, 3 validation mismatch
+(a formula or oracle disagreement, or a gap in the candidate-line family
+found by `oracle` or `teach`; the witness goes to stderr), 4 internal
+error (any other exception the library raises, a fault of the library
+and not of the request, reported on one line).
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ import sys
 import time
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .asymptotics import DEFAULT_ANISO_MS, DEFAULT_ANISO_NS, DEFAULT_SQUARE_KS
 from .asymptotics import reports_to_csv, residual_sweep
-from .counting import breakdown, count_p, count_p_sequence, count_total
+from .counting import _p_chunks, breakdown, count_p, count_total
 from .errors import CandidateFamilyError, CapacityError
 from .grid import GridSpec
-from .numtheory import _SPAN, NTTables, _square_chunks, kernel_sieve_limit, sieve
+from .numtheory import NTTables, _square_chunks, kernel_sieve_limit, sieve
 from .numtheory import u_mobius  # noqa: F401  (names perfbench/spans.py wraps)
 from .oracle import cross_validate, dump_functions, enumerate_by_lines, enumerate_by_subsets
 from .oracle import require_admitted
@@ -67,14 +65,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(record, indent=2, sort_keys=True))
+        _out(json.dumps(record, indent=2, sort_keys=True) + "\n")
     else:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         keys = list(record)
         writer.writerow(keys)
         writer.writerow([record[k] for k in keys])
-        sys.stdout.write(out.getvalue())
+        _out(out.getvalue())
 
 
 def _grid(m: int, n: int) -> GridSpec:
@@ -90,6 +88,21 @@ def _writing(path: str) -> Iterator[None]:
         yield
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _out(text: str) -> None:
+    """Write and flush stdout; one that cannot be written is a usage error.
+
+    What it could not take is dropped: interpreter exit would retry it and end in status 120.
+    """
+    with _writing("stdout"):
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+            raise
 
 
 def _check_side_cap(grid: GridSpec) -> None:
@@ -177,40 +190,32 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
     if args.count > OEIS_COUNT_CAP:
         raise CapacityError(f"--count {args.count} exceeds the b-file cap of {OEIS_COUNT_CAP} terms")
     tables = NTTables(args.count)  # the sequence kernel reads phi alone
-    if args.sequence == "A018805":  # coprime pairs in the k x k square
-        values = []
-        for _, u, _ in _square_chunks(args.count, tables, four_v=False):
-            values += u.tolist()
-        del values[0]  # U(0, 0)
+    if args.sequence == "A018805":  # coprime pairs in the k x k square, U(0, 0) dropped
+        chunks = ((max(int(j[0]), 1), u[1:] if j[0] == 0 else u)
+                  for j, u, _ in _square_chunks(args.count, tables, four_v=False))
     else:
-        values = count_p_sequence(args.count, tables)
+        chunks = _p_chunks(args.count, tables)
     halve = args.sequence == "A114043"
-    text = "".join(_bfile_lines(values[lo : lo + _SPAN], lo + 1, halve)
-                   for lo in range(0, len(values), _SPAN))
+    text = "".join(_bfile_lines(first, values, halve) for first, values in chunks)
     if args.output:
         with _writing(args.output), open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _out(text)
     return EXIT_OK
 
 
-def _bfile_lines(values: list[int], first: int, halve: bool) -> str:
-    """Lines "k value" for values indexed from ``first``, halved if ``halve``.
+def _bfile_lines(first: int, values, halve: bool) -> str:
+    """Lines "k value" for a kernel chunk indexed from ``first``, halved if ``halve``.
 
-    Halving checks every value is even, on an int64 array where the values
-    fit and on Python ints where they do not: P(k, 2) is always even, so
-    an odd value is a library fault (ArithmeticError, exit 4), not a value
-    to floor.
+    & and >> are exact on the chunk's int64 or Python-int array.  P(k, 2) is
+    always even: an odd value is a library fault (exit 4), not one to floor.
     """
     if halve:
-        try:
-            p = np.array(values, dtype=np.int64)
-        except OverflowError:  # a value past int64
-            p = np.array(values, dtype=object)
-        if (p & 1).any():
+        if (values & 1).any():
             raise ArithmeticError("an odd P(k, 2) has no half in A114043")
-        values = (p >> 1).tolist()
+        values = values >> 1
+    values = values.tolist()
     pairs: list[int] = [0] * (2 * len(values))
     pairs[::2] = range(first, first + len(values))
     pairs[1::2] = values
@@ -221,28 +226,16 @@ def _bfile_lines(values: list[int], first: int, halve: bool) -> str:
 def _cmd_teach(args: argparse.Namespace) -> int:
     grid = _grid(args.m, args.n)
     result = census(grid)
-    if args.format == "json":
-        record = {
-            "command": "teach",
-            "m": grid.m,
-            "n": grid.n,
-            "histogram": {str(k): v for k, v in result.histogram().items()},
-            "mismatches": len(result.mismatches()),
-        }
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(result.to_csv())
     mismatches = result.mismatches()
-    if mismatches:
-        for r in mismatches:
-            print(
-                f"rule mismatch: predicted {r.predicted_size}, exhaustive {r.min_size}\n"
-                + r.fn.render(),
-                file=sys.stderr,
-            )
-        if args.check:
-            return EXIT_MISMATCH
-    return EXIT_OK
+    if args.format == "json":
+        _emit({"command": "teach", "m": grid.m, "n": grid.n, "mismatches": len(mismatches),
+               "histogram": {str(k): v for k, v in result.histogram().items()}}, "json")
+    else:
+        _out(result.to_csv())
+    for r in mismatches:
+        print(f"rule mismatch: predicted {r.predicted_size}, exhaustive {r.min_size}\n"
+              + r.fn.render(), file=sys.stderr)
+    return EXIT_MISMATCH if mismatches and args.check else EXIT_OK
 
 
 def _cmd_asympt(args: argparse.Namespace) -> int:
@@ -257,7 +250,7 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
     pairs = [(k, k) for k in ks] + [(m, n) for n in ns for m in ms]
     tables = sieve(max([kernel_sieve_limit(t, k) for t, k in pairs] + list(ns)))
     rows = residual_sweep(tables, square_ks=ks, aniso_ns=ns, aniso_ms=ms)
-    sys.stdout.write(reports_to_csv(rows))
+    _out(reports_to_csv(rows))
     return EXIT_OK
 
 

@@ -11,12 +11,12 @@ zero) the stable/unstable split is
     stable(m, n)   = m + n + U(m, n) + 2 V(m, n) - 8 V((m-1)/2, (n-1)/2)
 
 with N = 2(|F| + 1).  The k-valued square case is P(k, 2) = N(k-1, k-1).
-count_p_sequence gives P(1..K, 2) from one pass of the square-sequence
-kernel (numtheory._square_chunks, behind uv_square_sequence), for whole
-OEIS b-files: _total runs on each chunk's arrays, in int64 up to K of
-about 2.5 10^4 and in Python ints past it.  A b-file of 10^6 terms
+_p_chunks gives P(1..K, 2) per chunk of the square-sequence kernel
+(numtheory._square_chunks), for whole OEIS b-files: _total runs on each
+chunk's arrays, in int64 up to K of about 2.5 10^4 and in Python ints
+past it; count_p_sequence flattens them.  A b-file of 10^6 terms
 (`oeis --sequence A114146 --count 1000000`, in-process, best of 3 on 2
-shared vCPUs) takes about 0.64 s and peaks at 162 MB RSS.  count_p stays
+shared vCPUs) takes about 0.75 s and peaks at 108 MB RSS.  count_p stays
 the per-term path and the sequence's oracle.
 
 Each formula is written once: N in _total, the split in breakdown.
@@ -45,11 +45,14 @@ provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Iterator, Literal
 
 from .grid import GridSpec
 from .numtheory import HalfInt, NTTables, _square_chunks, uv_blocked
 from .numtheory import u_mobius, v_fast  # noqa: F401  (names perfbench/spans.py wraps)
+
+if TYPE_CHECKING:  # numpy loaded ahead of .numtheory raised a cold import's peak RSS by 1 MB
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -92,18 +95,20 @@ def count_p(k: int, tables: NTTables) -> int:
     return count_total(GridSpec(k - 1, k - 1), tables)
 
 
-def count_p_sequence(count: int, tables: NTTables) -> list[int]:
-    """[P(1, 2), ..., P(count, 2)] from one pass of the square-sequence kernel.
+def _p_chunks(count: int, tables: NTTables) -> Iterator[tuple[int, np.ndarray]]:
+    """(first k, P(k, 2) array) per kernel chunk, k = 1..count, in the kernel's dtype.
 
-    N(j, j) is assembled per chunk, on the exact arrays of 4V(j, j) and j.
-    Needs tables.limit >= count - 1; equals count_p term by term.
+    Needs tables.limit >= count - 1.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    values: list[int] = []
     for j, _, four_v in _square_chunks(count - 1, tables):
-        values += _total(j, j, four_v).tolist()
-    return values
+        yield int(j[0]) + 1, _total(j, j, four_v)
+
+
+def count_p_sequence(count: int, tables: NTTables) -> list[int]:
+    """[P(1, 2), ..., P(count, 2)] from one pass; equals count_p term by term."""
+    return [p for _, chunk in _p_chunks(count, tables) for p in chunk.tolist()]
 
 
 def count_unstable(grid: GridSpec, tables: NTTables) -> int:

@@ -62,8 +62,8 @@ _square_chunks runs that pass in chunks of _SPAN terms: np.cumsum of the
 increments, plus the Python-int totals of the chunk before, on arrays
 whose dtype each follows a proven bound (int64 for every term up to
 n = 24 897, Python ints only for the quantities that need them past it),
-so no step loops over terms in Python.  uv_square_sequence and
-counting.count_p_sequence collect its chunks into lists.
+so no step loops over terms in Python.  The CLI prints its chunks as they
+come; uv_square_sequence and counting.count_p_sequence flatten them.
 """
 
 from __future__ import annotations
@@ -567,7 +567,7 @@ def _square_chunks(n: int, tables: NTTables, four_v: bool = True
     0 <= 2S <= 2 top^3, so d = w C - 2S is within 2 (top + 1)^3, d w + Q
     within 3 (top + 1)^4, and 4V and every intermediate of it within
     12 (top + 1)^4.  j comes in the dtype that (2j + 1)^2 + 1 <=
-    4 (top + 1)^2 needs, for count_p_sequence; its sum with 4V stays
+    4 (top + 1)^2 needs, for counting._p_chunks; its sum with 4V stays
     within 12 (top + 1)^4 too, as 4V <= 4 top^4 (a sum of
     (w - i)(w - j) <= top^2 over at most top^2 pairs).  A chunk is
     therefore all int64 for every n <= 24 897.  Past that, C, S, the

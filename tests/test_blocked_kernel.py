@@ -152,6 +152,15 @@ def test_weighted_mertens_refuses_x_past_its_sieve_before_allocating():
     assert peak < 2**20
 
 
+def test_mertens_function_equals_the_published_values():
+    # M(10^8) = 1928 and M(10^9) = -222 (OEIS A084237; Deleglise & Rivat,
+    # Exp. Math. 1996); M(10^10) = -33 722 takes seconds and stays out
+    for x, expected in ((10**8, 1928), (10**9, -222)):
+        assert weighted_mertens(x, sieve(kernel_sieve_limit(x, x)))[0] == expected, x
+    # a sieve at isqrt(10^8) sends every point above 10^4 through the recursion
+    assert weighted_mertens(10**8, sieve(10**4))[0] == 1928
+
+
 def test_mertens_pass_is_exact_past_int64():
     # with mu = 1 everywhere M_2(x) = x(x+1)(2x+1)/6 passes 2^62 near x = 2.4e6
     n = 3_100_000

@@ -517,3 +517,29 @@ def test_unwritable_output_path_is_one_line_usage_error(capsys, tmp_path, argv):
     assert code == EXIT_USAGE
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert not path.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("count", "--m", "2", "--n", "2"),
+    ("oeis", "--sequence", "A114146", "--count", "5"),
+    ("oeis", "--sequence", "A018805", "--count", "3000"),  # more than one buffer
+    ("teach", "--m", "2", "--n", "2"),
+    ("asympt", "--family", "square", "--max-k", "64"),
+    ("oracle", "--m", "2", "--n", "2"),
+    ("bench", "--k", "5", "--repeat", "1"),
+])
+def test_unwritable_stdout_is_one_line_usage_error(argv):
+    # buffered, the write fails at the flush; unbuffered, at the write itself;
+    # either way the process must not end in a traceback and status 120
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ((), ("-u",)):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, *unbuffered, "-m", "gridthresh", *argv],
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        assert done.returncode == EXIT_USAGE, (unbuffered, done.stderr)
+        assert done.stderr.startswith("error: cannot write stdout: No space left on device")
+        assert done.stderr.count("\n") == 1

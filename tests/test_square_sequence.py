@@ -114,20 +114,24 @@ def test_a018805_builds_no_four_v(capsys, monkeypatch):
 
 
 def test_halving_is_exact_past_int64():
-    # a list mixing values below and above 2^63 must not pass through float64
+    # a chunk of Python ints below and above 2^63 must not pass through float64
     values = [2, 2**63 + 2, 2**64 + 6, 2**90]
-    assert _bfile_lines(values, 7, halve=True) == "".join(
+    chunk = np.array(values, dtype=object)
+    assert _bfile_lines(7, chunk, halve=True) == "".join(
         f"{k} {x // 2}\n" for k, x in enumerate(values, start=7))
-    assert _bfile_lines(values, 1, halve=False).endswith(f"4 {2**90}\n")
+    assert _bfile_lines(1, chunk, halve=False).endswith(f"4 {2**90}\n")
+    assert _bfile_lines(3, np.array([2, 2**62], dtype=np.int64), halve=True) == f"3 1\n4 {2**61}\n"
     for odd in ([2, 3], [2, 2**63 + 3], [2**70 + 1]):
         with pytest.raises(ArithmeticError):
-            _bfile_lines(odd, 1, halve=True)
+            _bfile_lines(1, np.array(odd, dtype=object), halve=True)
+    with pytest.raises(ArithmeticError):
+        _bfile_lines(1, np.array([2, 3], dtype=np.int64), halve=True)
 
 
 def test_odd_p_exits_internal_under_python_optimize():
     # the parity check must not be an assert, which -O removes
-    script = ("import sys, gridthresh.cli as cli\n"
-              "cli.count_p_sequence = lambda count, tables: [2] * (count - 1) + [3]\n"
+    script = ("import sys, numpy as np, gridthresh.cli as cli\n"
+              "cli._p_chunks = lambda count, tables: iter([(1, np.array([2] * (count - 1) + [3]))])\n"
               "sys.exit(cli.main(['oeis', '--sequence', 'A114043', '--count', '5']))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
