@@ -1,8 +1,8 @@
 """Brute-force oracles corroborating the closed formula.
 
 Two enumerations that share nothing with the formula or each other:
-subset separability decides every dichotomy by exact convex-hull
-disjointness; the candidate-line family realizes every function by
+subset separability decides every dichotomy by an exact integer polygon
+of separating cut lines; the candidate-line family realizes every function by
 evaluating integer sign tests.  Their agreement with the formula is the
 package's ground truth.
 """

@@ -62,6 +62,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise UsageError(message)
 
+    # --help and --version go through _out: argparse's writer drops an OSError
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            _out(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":

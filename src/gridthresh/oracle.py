@@ -3,10 +3,8 @@
 Two independent enumerations of all threshold functions on a grid:
 
 * enumerate_by_subsets keeps the separable dichotomies of the lattice,
-  deciding separability by exact convex-hull disjointness (zeros on the
-  closed side, ones strictly on the open side, which for compact hulls
-  is equivalent to the hulls being disjoint), a separating-axis test in
-  integers.  It knows nothing about lines or the closed formulas.
+  growing them line by line on the polygon of their cut lines, in exact
+  integers.  It knows nothing about the candidate lines or the formulas.
 
 * enumerate_by_lines evaluates the finite candidate-line family described
   in geometry and deduplicates the resulting zero-sets.
@@ -25,54 +23,58 @@ disputed bit-sets as witnesses.  A subset function missing from the
 candidate family is an internal fault and raises CandidateFamilyError
 with its zero-set as witness.
 
-The subset oracle's hull-test candidates are generated, not filtered out
-of the 2^P subsets: a half-plane meets each grid row in an interval
-anchored at one end (prefix for a > 0, suffix for a < 0), and the
-interval lengths, being clamped floors of an affine function of the row
-index, are monotone across rows.  So every separable dichotomy is a
-staircase, all rows prefixes or all suffixes with monotone lengths, and
-the oracle lists those directly from the monotone length sequences: at
-most 4 C(m + n + 2, n + 1) of them (484 of the 2^20 subsets of a 4 x 3
-grid).  The hull test alone decides membership for the staircases.
+The subset oracle generates its candidates, not filtering them out of the
+2^P subsets: a half-plane meets each grid row in an interval anchored at
+one end (prefix for a > 0, suffix for a < 0), and the interval lengths,
+being clamped floors of an affine function of the row index, are
+monotone across rows.  So every separable dichotomy is a staircase, all
+rows prefixes or all suffixes with monotone lengths, and so it is with
+columns for rows.  Each staircase is one of the four renderings of a
+non-decreasing length sequence L (as given or reversed, every line a
+prefix or every line a suffix), images of one another under x -> m - x
+and y -> n - y, which preserve separability.
 
-It reads one end of each row: of the prefix staircase of L, the right
-end (l - 1, y) of a row's zeros and the left end (l, y) of its ones,
-for its row length l = L[y], at most 2(n + 1) points instead of
-(m + 1)(n + 1).  These two chains decide as the whole sides do.  A line
-that separates the sides separates the chains, their subsets.
-Conversely, let a x + b y + c be negative on the zeros' chain and
-positive on the ones' chain (disjoint hulls are strictly separable):
+The walk decides L by the preimage of a digital straight segment (Dorst
+& Smeulders, IEEE PAMI 6, 1984).  Let a line y hold the points
+x = 0..span and L[y] be its length in 0..w, w = span + 1.  The prefix
+staircase of L is separable iff some cut x = s·y + t has its zeros
+strictly left and its ones strictly right: a separating line with a != 0
+solved for x is such a cut; a horizontal one leaves only empty lines
+below full ones, and so does the cut x = w·(y - y0) - 1/2, y0 the last
+empty line.
 
-* some row is proper (0 < l < m + 1): its two ends (l - 1, y) and (l, y)
-  straddle the line, so a > 0.  A zero (x, y) of a row has
-  x <= l - 1, so a x + b y + c is at most its value at (l - 1, y),
-  which is negative; a one has x >= l and a positive value.  The line
-  separates the whole sides;
-* no row is proper: L is non-decreasing, so its rows of ones (l = 0)
-  lie below its rows of zeros (l = m + 1), and a horizontal line between
-  them separates the sides, while the chains, x = 0 on the lower rows
-  and x = m on the upper, are disjoint segments.  Both tests say
-  separable.
-
-It runs once per symmetry orbit of staircases, not once per staircase.
-The four renderings of a length sequence L (as given or reversed, every
-row a prefix or every row a suffix) are the images of one another under
-x -> m - x and y -> n - y, affine bijections of the lattice that preserve
-hull disjointness.  The ones of the prefix rendering of L are a rendering
-of L' = reversed(m + 1 - L), so L' gets the same verdict, hull
-disjointness being symmetric in its two sides.  One hull test of a pair
-{L, L'} thus decides all of its (at most eight) staircases: about
-C(m + n + 2, n + 1) / 2 tests per grid, 66 for the 484 staircases of a
-4 x 3 grid.  Every verdict is still an exact integer hull test, of the
-staircase itself or of its image under a lattice symmetry.
+* Chain lemma: the cuts of L are those with L[y] - 1 < s·y + t where
+  L[y] > 0, at its last zero (L[y] - 1, y), and s·y + t < L[y] where
+  L[y] <= span, at its first one (L[y], y); the other zeros of a line
+  lie further left and its other ones further right.  They form an open
+  convex polygon Q(L), and L is separable iff Q(L) is not empty.
+* Interval lemma: s·y + t is linear, so on the open Q it takes exactly
+  the values of the open interval (v_min, v_max) of its extremes over the
+  closure's vertices.  So Q(L + (l,)) is not empty iff (l - 1, l), each
+  end dropped where l = 0 or l = w, meets (v_min, v_max): iff
+  floor(v_min) + 1 <= l <= ceil(v_max) within 0..w.  The next line of a
+  non-decreasing L after length prev takes exactly the lengths of
+  [max(prev, min(w, floor(v_min) + 1)), min(w, max(0, ceil(v_max)))],
+  none tested on its own.  The new closure is the old one clipped by the
+  closed half-planes, as open convex sets that meet have the
+  intersection of their closures as closure; a half-plane that holds
+  every vertex is not clipped.
+* Box bound: the walk starts from |s|, |t| <= P = w·lines, the point
+  count, and the box keeps every non-empty Q(L) non-empty.  The bounds
+  lie on lines s·y + t = c with c in 0..span.  If two of them have
+  heights y1 != y2, the closure of Q(L) holds no line, so it has a
+  vertex where two bound lines of different heights meet:
+  |s| = |c1 - c2| / |y1 - y2| <= span and |t| = |c1 - s·y1| <= span·lines
+  < P, with points of Q(L) arbitrarily close.  If all lie on one line,
+  s = 0 and t within 1/2 of a bound, |t| <= span + 1/2 < P, is in Q(L).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
-from typing import Iterable, Literal, Optional
+from math import gcd
+from typing import Iterable, Iterator, Literal, Optional
 
 from .counting import breakdown
 from .errors import CapacityError
@@ -80,12 +82,12 @@ from .geometry import CandidateScan, Point, ThresholdFn, _bits, _witness, scan_c
 from .grid import GridSpec
 from .numtheory import NTTables
 
-# the cap bounds hull tests, not memory: a grid has C(m + n + 2, n + 1)
-# length sequences and about half as many hull tests, most at 7 x 7 (12 870
-# sequences) within the cap, where cross_validate takes about 0.26 s and
-# `oracle --m 7 --n 7` 0.16-0.23 s and 31 MB peak RSS (3 fresh processes,
-# 2 shared vCPUs, Python 3.11); cross_validate runs the subset oracle on
-# every grid within the cap, and past it the line oracle alone
+# the cap no longer bounds much cost: the walk visits only separable length
+# sequences, most within the cap on 7 x 7 and 6 x 8, about 10 ms each after
+# the scan; there cross_validate takes about 15 ms and `oracle --m 7 --n 7`
+# 16-26 ms and 31 MB peak RSS (5 fresh processes, 2 shared vCPUs, Python
+# 3.11).  cross_validate runs the subset oracle on every grid within the
+# cap, and past it the line oracle alone
 SUBSET_POINT_CAP = 64
 # the scan grows with (2m + 1)(2n + 1) / 2 directions times (m + 1)(n + 1)
 # points, and the result with its masks: `oracle --method lines` takes
@@ -147,128 +149,128 @@ class EnumerationResult:
 
 
 # ---------------------------------------------------------------------------
-# exact hull predicates (integer arithmetic only)
+# the polygon of cut lines (exact integers only)
+
+Vertex = tuple[int, int, int]   # (X, Y, Z), Z > 0: the cut x = (X / Z)·y + Y / Z
 
 
-def _cross(o: Point, a: Point, b: Point) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _box(bound: int) -> list[Vertex]:
+    """The cuts with |s|, |t| <= bound, counter-clockwise."""
+    return [(-bound, -bound, 1), (bound, -bound, 1), (bound, bound, 1), (-bound, bound, 1)]
 
 
-def _hull(points: list[Point]) -> list[Point]:
-    """Convex hull, CCW, collinear interior points dropped.
+def _clip(polygon: list[Vertex], y: int, x: int, left: bool) -> list[Vertex]:
+    """The part of a convex ``polygon`` of cuts (s, t) with s·y + t >= x
+    (``left``: (x, y) on or left of the cut), or with s·y + t <= x.
 
-    Degenerate inputs come back as themselves: a single point or the two
-    endpoints of a collinear set.
+    One Sutherland-Hodgman pass: a vertex on the closed side is kept, and
+    an edge PQ whose ends lie strictly apart adds the point where it
+    crosses, |f(P)|·Q + |f(Q)|·P for f = ±(s·y + t - x) in homogeneous
+    form, reduced by its gcd.  A polygon with interior comes back with
+    interior and at least three vertices, or else as a point, a segment
+    or nothing: at most two vertices.
     """
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    sign = 1 if left else -1
+    clipped = []
+    p = polygon[-1]
+    fp = sign * (y * p[0] + p[1] - x * p[2])
+    for q in polygon:
+        fq = sign * (y * q[0] + q[1] - x * q[2])
+        if fp * fq < 0:
+            a, b = abs(fp), abs(fq)
+            v = (a * q[0] + b * p[0], a * q[1] + b * p[1], a * q[2] + b * p[2])
+            g = gcd(*v)
+            clipped.append((v[0] // g, v[1] // g, v[2] // g))
+        if fq >= 0:
+            clipped.append(q)
+        p, fp = q, fq
+    return clipped
 
 
-def hulls_disjoint(points_a: list[Point], points_b: list[Point]) -> bool:
-    """Exact disjointness of the convex hulls of two non-empty point sets.
+def is_separable(zeros: list[Point], ones: list[Point]) -> bool:
+    """Can some line put ``zeros`` on its closed side and ``ones`` strictly
+    on the open side?  Empty sides are trivially separable.
 
-    A separating-axis test (Gottschalk, Lin & Manocha, SIGGRAPH 1996):
-    try the outward normal of every edge of either hull, a two-point hull
-    counting as the two edges of a segment, and the direction of a
-    two-point hull; they are disjoint iff one of these axes puts them
-    strictly apart, so touching counts as intersecting.  On an edge's
-    outward normal the edge's own hull tops out on the edge, so only the
-    other hull is projected, and it must lie strictly beyond the edge.
-    An axis strictly apart is a separating line.  Conversely, the hulls
-    HA and HB are disjoint iff 0 is not in D = HA - HB, and every edge of
-    D is an edge of HA with its outward normal, or one of -HB, which is
-    an edge of HB with its outward normal negated:
-
-    * D is 2-D and 0 is not in D: 0 lies strictly outside the half-plane
-      of some edge of D.  If it is an edge of HA with outward normal u,
-      max u.HA < min u.HB: HB lies beyond that edge.  If it is one of -HB,
-      HA lies beyond the edge of HB with outward normal -u;
-    * D is a segment, so each hull is a point or a segment parallel to
-      it: a segment's normals separate if 0 is off D's line, its
-      direction if 0 is on the line;
-    * D is a point: both hulls are points, disjoint iff they differ.
+    For finite sets that is a line with both sides strictly apart: a
+    horizontal one iff the y ranges are apart, and otherwise a cut
+    x = s·y + t with either side on its left.  The cuts with zeros left
+    form an open polygon, those with s·y + t > x at each zero and < x at
+    each one, non-empty iff its closure has interior; it is clipped from
+    the box |s|, |t| <= 2C(C + 1) + 1, C the largest |coordinate|.  The
+    box is big enough: if the bounds lie on two lines y1 != y2, the
+    closure has a vertex where two of them meet, |s| <= 2C and
+    |t| <= C + 2C·C, with points of the polygon arbitrarily close; if on
+    one line, s = 0 and t within 1/2 of a bound is in it.
     """
-    ha, hb = _hull(points_a), _hull(points_b)
-    if len(ha) == len(hb) == 1:
-        return ha != hb
-    if _beyond_an_edge(ha, hb) or _beyond_an_edge(hb, ha):
+    if not zeros or not ones:
         return True
-    for hull in (ha, hb):
-        if len(hull) == 2:
-            (x0, y0), (x1, y1) = hull
-            u, v = x1 - x0, y1 - y0
-            pa = [u * x + v * y for x, y in ha]
-            pb = [u * x + v * y for x, y in hb]
-            if max(pa) < min(pb) or max(pb) < min(pa):
-                return True
-    return False
-
-
-def _beyond_an_edge(hull: list[Point], other: list[Point]) -> bool:
-    """Whether ``other`` lies strictly beyond some edge of ``hull`` (CCW),
-    on the side its outward normal points to; a one-point hull has none."""
-    if len(hull) < 2:
-        return False
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
-        u, v = y1 - y0, x0 - x1
-        edge = u * x0 + v * y0
-        for x, y in other:
-            if u * x + v * y <= edge:
+    low0, high0 = min(y for _, y in zeros), max(y for _, y in zeros)
+    low1, high1 = min(y for _, y in ones), max(y for _, y in ones)
+    if high0 < low1 or high1 < low0:
+        return True
+    c = max(abs(v) for point in zeros + ones for v in point)
+    for left, right in ((zeros, ones), (ones, zeros)):
+        polygon = _box(2 * c * (c + 1) + 1)
+        for x, y, side in [(x, y, True) for x, y in left] + [(x, y, False) for x, y in right]:
+            polygon = _clip(polygon, y, x, side)
+            if len(polygon) < 3:
                 break
         else:
             return True
     return False
 
 
-def is_separable(zeros: list[Point], ones: list[Point]) -> bool:
-    """Can some line put ``zeros`` on its closed side and ``ones`` strictly
-    on the open side?  Empty sides are trivially separable."""
-    if not zeros or not ones:
-        return True
-    return hulls_disjoint(zeros, ones)
-
-
 # ---------------------------------------------------------------------------
 # subset enumeration
 
 
-def _renderings(lengths: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """The four staircases of a non-decreasing row-length sequence.
+def _walk(span: int, lines: int) -> Iterator[tuple[int, ...]]:
+    """Every separable non-decreasing sequence of 1 to ``lines`` lengths in
+    0..span + 1, each once and before its extensions (module docstring).
 
-    The sequence is taken as given and reversed (its image under
-    y -> n - y), and each is rendered with every row a prefix and with
-    every row a suffix (the image under x -> m - x).
+    A sequence's polygon is the box |s|, |t| <= (span + 1)·lines clipped
+    at its chain points, (l - 1, y) on the left if l > 0 and (l, y) on the
+    right if l <= span; a sequence of all ``lines`` lengths is not clipped.
     """
+    width = span + 1
+    stack = [((), _box(width * lines), 0)]
+    while stack:
+        lengths, polygon, prev = stack.pop()
+        y = len(lengths)
+        values = [(y * s + t, z) for s, t, z in polygon]
+        low = min(v // z for v, z in values)           # floor of the minimum
+        high = max(-(-v // z) for v, z in values)      # ceiling of the maximum
+        for length in range(max(prev, min(width, low + 1)), min(width, max(0, high)) + 1):
+            grown = lengths + (length,)
+            yield grown
+            if y + 1 < lines:
+                cut = polygon
+                if 0 < length and length - 1 > low:
+                    cut = _clip(cut, y, length - 1, True)
+                if length <= span and length < high:
+                    cut = _clip(cut, y, length, False)
+                stack.append((grown, cut, length))
+
+
+def _renderings(lengths: tuple[int, ...], width: int, line: int, point: int) -> tuple[int, ...]:
+    """The four staircases of a non-decreasing length sequence, its lines
+    ``line`` bits apart and a line's ``width`` points ``point`` bits apart.
+
+    The sequence is taken as given and reversed (lines in the other
+    order), and each is rendered with every line a prefix and with every
+    line a suffix (points in the other order).  A run of l points is the
+    repunit (2^(l·point) - 1) / (2^point - 1).
+    """
+    unit = (1 << point) - 1
     masks = []
     for order in (lengths, lengths[::-1]):
         prefix = suffix = 0
         for r, length in enumerate(order):
-            row = (1 << length) - 1
-            prefix |= row << (r * width)
-            suffix |= row << (r * width + width - length)
+            run = ((1 << length * point) - 1) // unit
+            prefix |= run << (r * line)
+            suffix |= run << (r * line + (width - length) * point)
         masks += (prefix, suffix)
     return tuple(masks)
-
-
-def _chains(lengths: tuple[int, ...], m: int) -> tuple[list[Point], list[Point]]:
-    """The two sides of the prefix staircase of ``lengths`` as its hull
-    test reads them: the right end (l - 1, y) of each row's zeros and
-    the left end (l, y) of each row's ones."""
-    zeros = [(length - 1, y) for y, length in enumerate(lengths) if length]
-    ones = [(length, y) for y, length in enumerate(lengths) if length <= m]
-    return zeros, ones
 
 
 def enumerate_by_subsets(grid: GridSpec, *,
@@ -276,19 +278,10 @@ def enumerate_by_subsets(grid: GridSpec, *,
     """Every subset of the lattice, kept iff it is a separable zero-set.
 
     Ground truth by definition: the subsets that are not staircases are
-    not separable, and every staircase is decided by an exact hull test,
-    one per symmetry orbit.  For a non-decreasing length sequence L the
-    test splits the lattice into the prefix rendering of L (zeros) and
-    the rest (ones), each side given by its chain of row ends (_chains,
-    module docstring).  Its
-    verdict holds for all four renderings of L, since the reflections
-    x -> m - x and y -> n - y that map them onto one another are affine
-    bijections of the lattice and preserve hull disjointness.  It holds
-    for the partner L' = reversed(w - L) too (w = m + 1): the ones of
-    prefix(L) are a rendering of L', and hull disjointness is symmetric
-    in its two sides.  The sequences come in lexicographic order, so each
-    pair is tested once, when its first member comes up, and a separable
-    pair keeps the renderings of both.
+    not separable, and the walk yields exactly the separable
+    non-decreasing length sequences L, each once, in exact integers
+    (module docstring); each adds its four renderings.  Lines run along
+    the long side: the rows, or the columns when n > m.
 
     Grids of more than SUBSET_POINT_CAP points raise CapacityError.  The
     stable/unstable tallies are read afterwards from a candidate scan
@@ -297,15 +290,12 @@ def enumerate_by_subsets(grid: GridSpec, *,
     raises CandidateFamilyError.
     """
     require_admitted("subsets", grid)
-    width = grid.m + 1
+    w = grid.m + 1   # bits per row
+    span, lines, line, point = (grid.n, w, 1, w) if grid.n > grid.m else (grid.m, grid.n + 1, w, 1)
     kept: set[int] = set()
-    for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
-        partner = tuple(width - length for length in reversed(lengths))
-        if partner < lengths:
-            continue   # decided when the partner came up
-        if is_separable(*_chains(lengths, grid.m)):
-            kept.update(_renderings(lengths, width))
-            kept.update(_renderings(partner, width))
+    for lengths in _walk(span, lines):
+        if len(lengths) == lines:
+            kept.update(_renderings(lengths, span + 1, line, point))
     if scan is None:
         scan = scan_candidates(grid)
     return _classified(grid, kept, "subsets", scan)

@@ -130,7 +130,7 @@ def test_oracle_past_subset_cap_exits_capacity_before_scanning(capsys, monkeypat
         raise AssertionError("enumerated past the subset cap")
 
     monkeypatch.setattr(gridthresh.oracle, "scan_candidates", refuse)
-    monkeypatch.setattr(gridthresh.oracle, "is_separable", refuse)
+    monkeypatch.setattr(gridthresh.oracle, "_walk", refuse)
     code, out, err = run(capsys, "oracle", "--m", "8", "--n", "8", "--method", "subsets")
     assert code == EXIT_CAPACITY
     assert out == "" and "capped at 64" in err
@@ -143,7 +143,7 @@ def test_oracle_refuses_every_requested_method_before_enumerating(capsys, monkey
         raise AssertionError("enumerated or sieved before the capacity check")
 
     monkeypatch.setattr(gridthresh.oracle, "scan_candidates", refuse)
-    monkeypatch.setattr(gridthresh.oracle, "is_separable", refuse)
+    monkeypatch.setattr(gridthresh.oracle, "_walk", refuse)
     monkeypatch.setattr(gridthresh.cli, "sieve", refuse)
     code, out, err = run(capsys, "oracle", "--m", "0", "--n", "40")
     assert code == EXIT_CAPACITY
@@ -528,6 +528,8 @@ def test_unwritable_output_path_is_one_line_usage_error(capsys, tmp_path, argv):
     ("asympt", "--family", "square", "--max-k", "64"),
     ("oracle", "--m", "2", "--n", "2"),
     ("bench", "--k", "5", "--repeat", "1"),
+    ("--version",),          # argparse's own output
+    ("count", "--help"),
 ])
 def test_unwritable_stdout_is_one_line_usage_error(argv):
     # buffered, the write fails at the flush; unbuffered, at the write itself;

@@ -8,7 +8,6 @@ from math import gcd
 import numpy as np
 import pytest
 
-import gridthresh.oracle
 from gridthresh import (
     CapacityError,
     GridSpec,
@@ -20,22 +19,116 @@ from gridthresh import (
     sieve,
 )
 from gridthresh.errors import CandidateFamilyError
-from gridthresh.geometry import scan_candidates
+from gridthresh.geometry import Point, scan_candidates
 from gridthresh.oracle import (
     LINES_EXTENT_CAP,
     SUBSET_POINT_CAP,
-    _chains,
     _classified,
-    _hull,
     _renderings,
-    hulls_disjoint,
+    _walk,
     is_separable,
 )
 
 TABLES = sieve(64)
 
 
-# -- exact hull predicates ----------------------------------------------------
+# -- exact hull predicates: the judges of the polygon walk ---------------------
+
+def _cross(o: Point, a: Point, b: Point) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull(points: list[Point]) -> list[Point]:
+    """Convex hull, CCW, collinear interior points dropped.
+
+    Degenerate inputs come back as themselves: a single point or the two
+    endpoints of a collinear set.
+    """
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def hulls_disjoint(points_a: list[Point], points_b: list[Point]) -> bool:
+    """Exact disjointness of the convex hulls of two non-empty point sets.
+
+    A separating-axis test (Gottschalk, Lin & Manocha, SIGGRAPH 1996):
+    try the outward normal of every edge of either hull, a two-point hull
+    counting as the two edges of a segment, and the direction of a
+    two-point hull; they are disjoint iff one of these axes puts them
+    strictly apart, so touching counts as intersecting.  On an edge's
+    outward normal the edge's own hull tops out on the edge, so only the
+    other hull is projected, and it must lie strictly beyond the edge.
+    An axis strictly apart is a separating line.  Conversely, the hulls
+    HA and HB are disjoint iff 0 is not in D = HA - HB, and every edge of
+    D is an edge of HA with its outward normal, or one of -HB, which is
+    an edge of HB with its outward normal negated:
+
+    * D is 2-D and 0 is not in D: 0 lies strictly outside the half-plane
+      of some edge of D.  If it is an edge of HA with outward normal u,
+      max u.HA < min u.HB: HB lies beyond that edge.  If it is one of -HB,
+      HA lies beyond the edge of HB with outward normal -u;
+    * D is a segment, so each hull is a point or a segment parallel to
+      it: a segment's normals separate if 0 is off D's line, its
+      direction if 0 is on the line;
+    * D is a point: both hulls are points, disjoint iff they differ.
+    """
+    ha, hb = _hull(points_a), _hull(points_b)
+    if len(ha) == len(hb) == 1:
+        return ha != hb
+    if _beyond_an_edge(ha, hb) or _beyond_an_edge(hb, ha):
+        return True
+    for hull in (ha, hb):
+        if len(hull) == 2:
+            (x0, y0), (x1, y1) = hull
+            u, v = x1 - x0, y1 - y0
+            pa = [u * x + v * y for x, y in ha]
+            pb = [u * x + v * y for x, y in hb]
+            if max(pa) < min(pb) or max(pb) < min(pa):
+                return True
+    return False
+
+
+def _beyond_an_edge(hull: list[Point], other: list[Point]) -> bool:
+    """Whether ``other`` lies strictly beyond some edge of ``hull`` (CCW),
+    on the side its outward normal points to; a one-point hull has none."""
+    if len(hull) < 2:
+        return False
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        u, v = y1 - y0, x0 - x1
+        edge = u * x0 + v * y0
+        for x, y in other:
+            if u * x + v * y <= edge:
+                break
+        else:
+            return True
+    return False
+
+
+def _chains(lengths: tuple[int, ...], m: int) -> tuple[list[Point], list[Point]]:
+    """The two sides of the prefix staircase of ``lengths`` as its hull
+    test reads them: the right end (l - 1, y) of each row's zeros and
+    the left end (l, y) of each row's ones."""
+    zeros = [(length - 1, y) for y, length in enumerate(lengths) if length]
+    ones = [(length, y) for y, length in enumerate(lengths) if length <= m]
+    return zeros, ones
+
+
+def hull_separable(zeros, ones):
+    """Separability by the hull judge; empty sides are trivially separable."""
+    return not zeros or not ones or hulls_disjoint(zeros, ones)
+
 
 def test_hull_of_collinear_points_is_segment():
     assert _hull([(0, 0), (1, 1), (2, 2), (3, 3)]) == [(0, 0), (3, 3)]
@@ -101,8 +194,18 @@ def test_separating_axes_equal_a_direction_search():
         ib = [points.index(p) for p in b]
         searched = bool((projections[:, ia].max(axis=1) < projections[:, ib].min(axis=1)).any())
         assert hulls_disjoint(a, b) == searched, (a, b)
+        assert is_separable(a, b) == searched, (a, b)
         disjoint += searched
     assert 2_000 < disjoint < 8_000
+    # far from the origin and on both sides of it, where the clip box of
+    # is_separable grows with the coordinates: the two tests agree
+    rng = random.Random(20062)
+    disjoint = 0
+    for _ in range(2_000):
+        a, b = ([(x - 50, y - 50) for x, y in random_points(rng, 101)] for _ in range(2))
+        assert is_separable(a, b) == hulls_disjoint(a, b), (a, b)
+        disjoint += is_separable(a, b)
+    assert 200 < disjoint < 1_800
 
 
 def test_diagonal_dichotomy_is_not_separable():
@@ -141,7 +244,7 @@ def staircases(grid):
     width = grid.m + 1
     masks = set()
     for lengths in combinations_with_replacement(range(width + 1), grid.n + 1):
-        masks.update(_renderings(lengths, width))
+        masks.update(_renderings(lengths, width, width, 1))
     return sorted(masks)
 
 
@@ -168,7 +271,7 @@ def staircase_judge(grid):
     for mask in staircases(grid):
         zeros = [p for i, p in enumerate(pts) if (mask >> i) & 1]
         ones = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
-        if is_separable(zeros, ones):
+        if hull_separable(zeros, ones):
             kept.append(mask)
     return _classified(grid, kept, "subsets", scan_candidates(grid))
 
@@ -177,6 +280,8 @@ def staircase_judge(grid):
                                   if (m + 1) * (n + 1) <= 20]
                          + [(4, 4), (5, 4), (4, 5), (5, 5)])
 def test_orbit_hull_tests_equal_the_per_staircase_judge(m, n):
+    # the subset oracle, a polygon walk along the long side, against one
+    # hull test per staircase
     grid = GridSpec(m, n)
     judge = staircase_judge(grid)
     result = enumerate_by_subsets(grid)
@@ -186,21 +291,19 @@ def test_orbit_hull_tests_equal_the_per_staircase_judge(m, n):
     assert result.vertices == judge.vertices
 
 
-@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 3), (2, 2), (4, 3), (3, 5)])
-def test_one_hull_test_per_complement_pair_of_length_sequences(m, n, monkeypatch):
-    calls = []
-    original = gridthresh.oracle.is_separable
-
-    def counted(zeros, ones):
-        calls.append(len(zeros))
-        return original(zeros, ones)
-
-    monkeypatch.setattr(gridthresh.oracle, "is_separable", counted)
-    enumerate_by_subsets(GridSpec(m, n))
-    width = m + 1
-    pairs = {min(lengths, tuple(width - length for length in reversed(lengths)))
-             for lengths in combinations_with_replacement(range(width + 1), n + 1)}
-    assert len(calls) == len(pairs)
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(20) for n in range(20)
+                                  if (m + 1) * (n + 1) <= 20]
+                         + [(4, 4), (5, 4), (4, 5), (5, 5), (1, 15), (15, 1)])
+def test_the_walk_yields_each_separable_sequence_once(m, n):
+    # rows of m + 1 points: every sequence the walk yields, and so every
+    # prefix it extends, is separable by the hull test on its chains, and
+    # it yields each separable sequence of 1 to n + 1 lengths exactly once
+    walked = list(_walk(m, n + 1))
+    assert len(walked) == len(set(walked))
+    separable = [lengths for k in range(1, n + 2)
+                 for lengths in combinations_with_replacement(range(m + 2), k)
+                 if hull_separable(*_chains(lengths, m))]
+    assert sorted(walked) == sorted(separable)
 
 
 def four_row_ends(lengths, m):
@@ -213,16 +316,17 @@ def four_row_ends(lengths, m):
 
 @pytest.mark.parametrize("m", range(SUBSET_POINT_CAP))
 def test_chain_ends_decide_as_the_four_row_ends(m):
-    # every staircase the subset oracle tests (one length sequence per
-    # complement pair) on every grid within the cap: the zeros' right ends
-    # and the ones' left ends give the verdict of all four row ends
+    # the chain lemma the walk rests on, by the hull judge, on one length
+    # sequence per complement pair of every grid within the cap: the
+    # zeros' right ends and the ones' left ends give the verdict of all
+    # four row ends
     width = m + 1
     for n in range(SUBSET_POINT_CAP // width):
         for lengths in combinations_with_replacement(range(width + 1), n + 1):
             if tuple(width - length for length in reversed(lengths)) < lengths:
                 continue
             chains = _chains(lengths, m)
-            assert is_separable(*chains) == is_separable(*four_row_ends(lengths, m)), (n, lengths)
+            assert hull_separable(*chains) == hull_separable(*four_row_ends(lengths, m)), (n, lengths)
 
 
 @pytest.mark.parametrize("m, n", [(7, 7), (8, 6), (6, 8), (15, 3), (3, 15)])
