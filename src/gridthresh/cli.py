@@ -44,8 +44,8 @@ OEIS_SEQUENCES = ("A114146", "A114043", "A018805")
 # request is refused before either is allocated
 OEIS_COUNT_CAP = 10**6
 # count and bench sieve to kernel_sieve_limit(m, n), about 8 max(m, n)^(2/3)
-# but at most min(m, n); at this side a request takes about 2.8 s and
-# 253 MB, most of it the sieve's (a 5e9 square with --breakdown, 2 shared
+# but at most min(m, n); at this side a request takes about 2 s and
+# 142 MB, most of it the sieve's (a 5e9 square with --breakdown, 2 shared
 # vCPUs; skewed grids cost less), and past it
 # (or past k - 1 = cap) the request is refused before anything is sieved
 COUNT_SIDE_CAP = 5 * 10**9

@@ -16,20 +16,20 @@ _p_chunks gives P(1..K, 2) per chunk of the square-sequence kernel
 chunk's arrays, in int64 up to K of about 2.5 10^4 and in Python ints
 past it; count_p_sequence flattens them.  A b-file of 10^6 terms
 (`oeis --sequence A114146 --count 1000000`, in-process, best of 3 on 2
-shared vCPUs) takes about 0.75 s and peaks at 108 MB RSS.  count_p stays
+shared vCPUs) takes about 0.58 s and peaks at 102 MB RSS.  count_p stays
 the per-term path and the sequence's oracle.
 
 Each formula is written once: N in _total, the split in breakdown.
-breakdown makes one call of the blocked kernel (numtheory.uv_blocked)
-per argument pair: at (m, n) for U(m, n) and 4V(m, n), and on proper
-grids at ((m-1)/2, (n-1)/2) for the half-argument 4V.  It assembles N,
-the unstable formula, |F| = N/2 - 1 and stable = |F| - unstable, which
-expands to the stable formula above; count_stable and count_unstable
-read their values from that assembly, and count_total makes the one
-call at (m, n) alone.  The tables need only reach kernel_sieve_limit(m,
-n); the half-argument block ends floor(m/(2q)) lie among m's, so the
-second call of a breakdown finds every weighted Mertens sum it reads
-already recorded by the first.
+On a proper grid breakdown takes U(m, n), 4V(m, n) and the half-argument
+4V((m-1)/2, (n-1)/2) from one set of blocks of the blocked kernel
+(numtheory._uv_on_blocks): the half pair's quotients floor(floor(m/d)/2)
+and floor(floor(n/d)/2) are constant on the blocks of (m, n).  It
+assembles N, the unstable formula, |F| = N/2 - 1 and stable =
+|F| - unstable, which expands to the stable formula above;
+count_stable and count_unstable read their values from that assembly,
+and count_total takes 4V(m, n) alone (numtheory.uv_blocked).  On a
+degenerate grid the sums are empty and no block is built.  The tables
+need only reach kernel_sieve_limit(m, n).
 
 All counts are exact Python integers; V flows through the quadrupled
 integer representation so the 2V/4V/8V consumers never see a rational.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Literal
 
 from .grid import GridSpec
-from .numtheory import HalfInt, NTTables, _square_chunks, uv_blocked
+from .numtheory import NTTables, _square_chunks, _uv_on_blocks, uv_blocked
 from .numtheory import u_mobius, v_fast  # noqa: F401  (names perfbench/spans.py wraps)
 
 if TYPE_CHECKING:  # numpy loaded ahead of .numtheory raised a cold import's peak RSS by 1 MB
@@ -124,11 +124,11 @@ def count_stable(grid: GridSpec, tables: NTTables) -> int:
 def breakdown(grid: GridSpec, tables: NTTables) -> CountBreakdown:
     """Stable/unstable/|F|/total for one grid, with provenance."""
     m, n = grid.m, grid.n
-    u, four_v = uv_blocked(m, n, tables)
-    total = _total(m, n, four_v.quadrupled)
-    unstable = 0
-    if not grid.is_degenerate:
-        four_v_half = uv_blocked(HalfInt(m - 1), HalfInt(n - 1), tables)[1].quadrupled
+    if grid.is_degenerate:  # U and 4V sum over [1, m] x [1, n], empty here
+        total, unstable = _total(m, n, 0), 0
+    else:
+        u, four_v, _, four_v_half = _uv_on_blocks(((2 * m, 2 * n), (m - 1, n - 1)), tables)
+        total = _total(m, n, four_v)
         unstable = 2 * m * n - u + 2 * four_v_half
     f_class = total // 2 - 1
     return CountBreakdown(

@@ -29,16 +29,22 @@ built once); the blocked forms are what production counting uses:
 u_mobius and v_fast sum these term by term over d <= min(ceil t, ceil k)
 through _dot, in int64 where a bound from their arguments proves that exact
 and in Python ints otherwise, so they are exact wherever their sieve
-reaches.  uv_blocked, the one blocked kernel, groups d into the
-O(sqrt(t) + sqrt(k)) blocks on which floor(ceil(t)/d) and floor(ceil(k)/d)
-are both constant, and returns U and 4V of one argument pair from one set
-of blocks.  On a block 2A is linear in d, so a block contributes a
+reaches.  The blocked kernel groups d into the O(sqrt(t) + sqrt(k))
+blocks on which floor(ceil(t)/d) and floor(ceil(k)/d) are both constant;
+uv_blocked returns U and 4V of one argument pair from one set of blocks,
+and _uv_on_blocks adds the half-argument pair of a breakdown on the same
+blocks.  On a block 2A is linear in d, so a block contributes a
 quadratic in d and needs only the differences of M_0, M_1, M_2 at its
 ends; U is the M_0 term.  Those sums are recorded per NTTables at the
 block ends alone, O(sqrt(t) + sqrt(k)) points closed under x -> x // q,
 never over the whole sieve.  The points within the sieve limit take one
-chunked pass over mu, summed between points by np.add.reduceat; those
-above it come from the Dirichlet identity sum_{d<=x} d^j M_j(x // d) = 1
+pass over mu in chunks of 2^15 terms, each taken about its base lo: the
+terms mu(d) (d - lo)^j fit int32, np.add.reduceat sums them between
+points in int64, and sum mu(d) d^2 = S_2 + 2 lo S_1 + lo^2 S_0 (with
+S_j the sums of mu(d) (d - lo)^j) shifts them back.  The recorded values
+leave int64 only where a total's magnitude may reach 2^62 (beyond
+every sieve limit of a side the CLI admits).  The points above the limit
+come from the Dirichlet identity sum_{d<=x} d^j M_j(x // d) = 1
 (Deleglise & Rivat, Exp. Math. 1996), evaluated for groups of points at
 once.  So the kernel needs a sieve only to
 kernel_sieve_limit(t, k) = min(D, ceil(8 K^(2/3))), with D and K the
@@ -92,18 +98,21 @@ KERNEL_SIEVE_C = 8
 # below this; past it the same expression runs on Python ints
 _INT64_SAFE = 2**62
 
-# The Mertens layer works in vectorised steps of at most this many terms: a
-# chunk of the pass over mu, or a group of points of the batched recursion
-# (a point with more terms is a group of its own).  A point x from 10^9 up
-# has about 2 isqrt(x) >= 63 000 terms, and past the kernel's sieve limit
-# there (at least 8*10^6) every point has over 5 000, so such a group holds
-# one point: no more than the per-point arrays of an unbatched recursion.
-# Measured on 2 shared vCPUs: a breakdown of 10^6 x 8*10^6 on a fresh
-# sieve to 320 000 took 6.3-9.3 ms (best of 15) at every span from 2^14
-# to 2^18, while its tracemalloc peak grew from 1.3 to 6.7 MB;
-# count_p(10^9) without its sieve took about 760 ms at 2^12 and
-# 570-680 ms from 2^15 up (best of 3).  2^16 peaks at 2.1 MB.
-_SPAN = 2**16
+# The Mertens layer and the square-sequence kernel work in vectorised
+# steps of at most this many terms: a chunk of the pass over mu, a group of
+# points of the batched recursion (a point with more terms is a group of
+# its own), or a chunk of _square_chunks.  The pass needs 2^15 or less: its
+# terms mu(d) (d - lo)^2 fit int32 only in chunks of at most 46 341.  A
+# point x from 10^9 up has about 2 isqrt(x) >= 63 000 terms, a group of
+# its own; past the kernel's sieve limit there (at least 8*10^6) every
+# point has over 5 000, so a group holds at most six.  Measured on 2
+# shared vCPUs: a breakdown of 10^6 x 8*10^6 on a fresh sieve to 320 000
+# takes 3.8 ms (best of 15) and peaks at 1.8 MB (tracemalloc), and
+# count_p(10^9) without its sieve about 390 ms (best of 3);
+# `oeis --count 10^6` takes 0.58, 0.67 and 0.31 s for A114146, A114043
+# and A018805, against 0.61, 0.66 and 0.31 s with the square sequence
+# in chunks of 2^16 (best of 3 in fresh processes).
+_SPAN = 2**15
 
 # The block sums run once mod 2^64 and then once mod each of these primes,
 # the six largest below 2^32, as far as their bound needs.  _CRT_MODULI[c]
@@ -347,24 +356,29 @@ def _lookup(record: _Recorded, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, record.points.take(at, mode="clip") == xs
 
 
-def _small_primes(root: int) -> Iterator[int]:
-    """The primes <= root, by an Eratosthenes pass over a boolean array."""
+def _small_primes(root: int) -> list[int]:
+    """The primes <= root, ascending, by an Eratosthenes pass over a boolean array."""
     composite = np.zeros(root + 1, dtype=bool)
-    for p in range(2, root + 1):
+    composite[:2] = True
+    for p in range(2, math.isqrt(root) + 1):
         if not composite[p]:
             composite[p * p :: p] = True
-            yield p
+    return np.flatnonzero(~composite).tolist()
 
 
 def sieve(limit: int) -> NTTables:
     """Tables up to ``limit`` with mu sieved now; the rest follow lazily.
 
-    Each prime p <= sqrt(limit) flips the sign of mu at its multiples,
-    zeroes it at the multiples of p^2, and multiplies p into ``rad``, the
-    product of the distinct small primes of each index.  A squarefree index
-    larger than its rad has exactly one prime factor > sqrt(limit), which
-    flips its sign once more in a single vector pass.  Takes about 17 ms
-    at limit = 10^6 and 0.35 s at 10^7 (best of 7, 2 shared vCPUs).
+    mu is sieved on the odd indices alone, in one int32 array ``rad``.
+    Each odd prime p <= sqrt(limit) multiplies -p into rad at its odd
+    multiples and zeroes rad at the odd multiples of p^2, so rad holds the
+    product of the distinct small primes of each odd index and its sign is
+    mu over those primes.  A squarefree odd index larger than |rad| has
+    exactly one prime factor > sqrt(limit), which flips its sign once
+    more in a single vector pass.  The even indices follow in one vector
+    step: mu(2k) = -mu(k) for odd k, and 0 where 4 divides the index.
+    Takes about 4 ms at limit = 10^6 and 60 ms at 10^7 (best of 7, 2
+    shared vCPUs), and peaks near 5 bytes per index.
     """
     tables = NTTables(limit)
     tables.mu  # noqa: B018  (sieve now, not on first use)
@@ -372,17 +386,23 @@ def sieve(limit: int) -> NTTables:
 
 
 def _mu_table(n: int) -> np.ndarray:
-    # rad(x) <= x, so int32 holds it below 2^31 and halves the memory traffic
+    # Entry j of rad stands for the odd index 2j + 1, so an odd prime p
+    # strides from j = (p - 1) / 2 and p^2 from (p^2 - 1) / 2.  rad is the
+    # product of the index's distinct small primes, negated once per prime,
+    # and 0 from a square factor on: its sign is mu over the small primes.
+    # |rad| is at most its index, so int32 holds it below 2^31.
     dtype = np.int32 if n < 2**31 else np.int64
-    mu = np.ones(n + 1, dtype=np.int8)
-    rad = np.ones(n + 1, dtype=dtype)
-    for p in _small_primes(math.isqrt(n)):
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        rad[p::p] *= p
-    # a factor of -1 where rad < index, with no boolean scatter
-    mu *= 1 - 2 * (rad != np.arange(n + 1, dtype=dtype)).view(np.int8)
-    mu[0] = 0
+    rad = np.ones((n + 1) // 2, dtype=dtype)
+    for p in _small_primes(math.isqrt(n))[1:]:
+        rad[(p - 1) // 2 :: p] *= -p
+        rad[(p * p - 1) // 2 :: p * p] = 0
+    odd = (rad > 0).view(np.int8) - (rad < 0).view(np.int8)
+    # a factor of -1 where |rad| < index, with no boolean scatter
+    odd *= 1 - 2 * (np.abs(rad, out=rad) != np.arange(1, n + 1, 2, dtype=dtype)).view(np.int8)
+    # mu(2k) = -mu(k) for odd k, and mu(i) = 0 where 4 divides i
+    mu = np.zeros(n + 1, dtype=np.int8)
+    mu[1::2] = odd
+    np.negative(odd[: len(mu[2::4])], out=mu[2::4])
     return _read_only(mu)
 
 
@@ -667,39 +687,53 @@ def _dot(a: np.ndarray, b: np.ndarray, bound: Optional[int] = None) -> int:
 def _mertens_pass(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(M_0, M_1, M_2) at sorted distinct points 1 <= x < len(mu), as (3, n) values.
 
-    One pass over mu up to the last point, in chunks of at most _SPAN
-    terms d^j mu(d), short enough that no in-chunk sum reaches 2^62: each
-    term is at most top^2, so a chunk of 2^62 // top^2 terms is safe.
-    np.add.reduceat sums each chunk between consecutive points, and the
-    running totals are added at the points only.  They stay int64 while
-    they provably stay below 2^62, by the static bound
-    sum_{d<hi} d^2 < hi^3 when that suffices and by their actual extremes
-    otherwise; past that they are Python ints, so only the values at the
-    points leave int64, never a chunk.  A point at or past 2^31, where a
-    single term may leave int64, raises CapacityError.
+    One pass over mu up to the last point, in chunks of _SPAN = 2^15
+    terms, each taken about its base lo.  With d = lo + e and
+    0 <= e < 2^15, mu(d) e and mu(d) e^2 lie below 2^30: they are int32
+    products of one array of e and two buffers that every chunk reuses.
+    np.add.reduceat sums mu(d) e^j in int64 between consecutive points,
+    and a chunk's running prefixes S_0, S_1, S_2 stay within 2^15, 2^30
+    and 2^45.  The shift identity
+        sum mu(d) d = S_1 + lo S_0,   sum mu(d) d^2 = S_2 + 2 lo S_1 + lo^2 S_0
+    turns them into in-chunk sums of d^j mu(d).  Those and the running
+    totals, which are added at the points only, stay int64 while the
+    totals' largest magnitude plus S_2 + lo (2 S_1 + lo S_0), each at its
+    largest magnitude, stays below 2^62.  That is checked only past the
+    static bound sum_{d<hi} d^2 < hi^3, from hi = 1.6 * 10^6; once it
+    fails, both are Python ints, so only the values at the points and a
+    chunk's few sums leave int64, never a chunk's terms, and chunks stay
+    full at any top.  A point at or past 2^31, where a single term d^2
+    may leave int64, raises CapacityError.
     """
     top = int(points[-1])
     if top * top >= _INT64_SAFE:
         raise CapacityError(f"weighted Mertens point {top} past 2^31")
-    step = min(_SPAN, _INT64_SAFE // (top * top))
+    span = min(_SPAN, top)
+    e = np.arange(span, dtype=np.int32)
+    m1, m2 = np.empty(span, dtype=np.int32), np.empty(span, dtype=np.int32)
     total = np.zeros((3, 1), dtype=np.int64)
     parts = []
-    for lo in range(1, top + 1, step):
-        hi = min(lo + step, top + 1)
+    for lo in range(1, top + 1, _SPAN):
+        hi = min(lo + _SPAN, top + 1)
+        size = hi - lo
         # segments start at lo and one past each point short of hi - 1
         first, inner, last = np.searchsorted(points, (lo, hi - 1, hi))
         starts = np.concatenate(([0], points[first:inner] - (lo - 1)))
-        d = np.arange(lo, hi, dtype=np.int64)
         m0 = mu[lo:hi]
-        m1 = m0 * d
+        np.multiply(m0, e[:size], out=m1[:size])
+        np.multiply(m1[:size], e[:size], out=m2[:size])
         sums = np.empty((3, len(starts)), dtype=np.int64)
         np.add.reduceat(m0, starts, dtype=np.int64, out=sums[0])
-        np.add.reduceat(m1, starts, out=sums[1])
-        np.add.reduceat(m1 * d, starts, out=sums[2])
+        np.add.reduceat(m1[:size], starts, dtype=np.int64, out=sums[1])
+        np.add.reduceat(m2[:size], starts, dtype=np.int64, out=sums[2])
         np.cumsum(sums, axis=1, out=sums)  # at each point, then the chunk's total
-        if total.dtype != object and hi**3 >= _INT64_SAFE:
-            if int(np.abs(total).max()) + int(np.abs(sums).max()) >= _INT64_SAFE:
-                total = total.astype(object)
+        if hi**3 >= _INT64_SAFE:  # past the static bound
+            s0, s1, s2 = (int(x) for x in np.abs(sums).max(axis=1))
+            if int(np.abs(total).max()) + s2 + lo * (2 * s1 + lo * s0) >= _INT64_SAFE:
+                sums, total = sums.astype(object), total.astype(object)
+        # the shift identity, one row per power of d
+        shift = np.array([[1, 0, 0], [lo, 1, 0], [lo * lo, 2 * lo, 1]], dtype=sums.dtype)
+        sums = shift @ sums
         if last > first:
             parts.append(total + sums[:, : last - first])
         total = total + sums[:, -1:]
@@ -955,30 +989,59 @@ def uv_blocked(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> tuple[int, Q
     T, K, ct, ck = _v_prepare(t, k)
     if min(ct, ck) <= 0:
         return 0, QuarterInt(0)
+    u, four_v = _uv_on_blocks(((T, K),), tables)
+    return u, QuarterInt(four_v)
+
+
+def _uv_on_blocks(pairs: tuple[tuple[int, int], ...], tables: NTTables) -> tuple[int, ...]:
+    """U at the ceilings and 4V of each doubled pair (T, K), from the blocks of the first.
+
+    Returns U and 4V of each pair in turn, from one set of blocks and one
+    residue pass per modulus.  The first pair's ceilings ct, ck must be
+    positive; a later pair's ceilings must be at most ct and ck and give
+    quotients constant on ct's and ck's blocks.  floor(ct / 2) and
+    floor(ck / 2) do, as floor(floor(ct / 2) / d) = floor(floor(ct / d) / 2):
+    so counting.breakdown takes 4V((m-1)/2, (n-1)/2), whose doubled
+    arguments are m - 1 and n - 1, from the blocks of (m, n).  Each pair
+    is bounded as in uv_blocked; a first ceiling of 2^63 or more raises
+    CapacityError before any block is built.
+    """
+    T, K = pairs[0]
+    ct, ck = -(-T // 2), -(-K // 2)
     if max(ct, ck) >= 2**63:
         raise CapacityError(f"kernel side {max(ct, ck)} past int64")
     _require_kernel_limit(tables, ct, ck)
     ends, low, high = _blocks(ct, ck, tables)
-    bounds = (ct * ck, ct * ck * (T + 2) * (K + 2))
-    u, four_v = _from_residues(bounds, _uv_block_sum, T, K, ct // ends, ck // ends, low, high)
-    return u, QuarterInt(four_v)
+    bounds: list[int] = []
+    quotients = []
+    for T, K in pairs:
+        ct, ck = -(-T // 2), -(-K // 2)
+        bounds += [ct * ck, ct * ck * (T + 2) * (K + 2)]
+        quotients.append((T, K, ct // ends, ck // ends))
+    return _from_residues(tuple(bounds), _uv_block_sum, tuple(quotients), low, high)
 
 
-def _uv_block_sum(modulus: int, T: int, K: int, qt: np.ndarray, qk: np.ndarray,
-                  low: np.ndarray, high: list[tuple[int, int, int]]) -> tuple[int, int]:
-    """(U, 4V) mod ``modulus``: sums of qt qk mu(d) and qt qk (T + 2 - pt d)(K + 2 - pk d) mu(d).
+def _uv_block_sum(modulus: int, pairs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...],
+                  low: np.ndarray, high: list[tuple[int, int, int]]) -> tuple[int, ...]:
+    """(U, 4V) mod ``modulus`` of each (T, K, qt, qk), in turn, on the blocks of low and high.
 
+    U sums qt qk mu(d) and 4V sums qt qk (T + 2 - pt d)(K + 2 - pk d) mu(d).
     The second is 2A(t, d) 2A(k, d) mu(d) on a block, with p = q + 1;
     expanded in d, it weights the block's sums of d^j mu(d), j = 0, 1, 2,
     and its j = 0 term is (T + 2)(K + 2) times the first.  p is taken as a
-    residue plus one, so q = 2^63 - 1 does not overflow.
+    residue plus one, so q = 2^63 - 1 does not overflow.  The block sums
+    are reduced once for all pairs.
     """
     m = _block_moments(low, high, modulus)
-    rt, rk, one = _residues(qt, modulus), _residues(qk, modulus), np.uint64(1)
-    pt = rt + one
-    floors = _mul_mod(rt, rk, modulus)
-    with_pk = _mul_mod(floors, rk + one, modulus)
-    u = _dot_mod(floors, m[0], modulus)
-    return u, ((T + 2) * ((K + 2) * u - _dot_mod(with_pk, m[1], modulus))
-               - (K + 2) * _dot_mod(_mul_mod(floors, pt, modulus), m[1], modulus)
-               + _dot_mod(_mul_mod(with_pk, pt, modulus), m[2], modulus))
+    one = np.uint64(1)
+    sums: list[int] = []
+    for T, K, qt, qk in pairs:
+        rt, rk = _residues(qt, modulus), _residues(qk, modulus)
+        pt = rt + one
+        floors = _mul_mod(rt, rk, modulus)
+        with_pk = _mul_mod(floors, rk + one, modulus)
+        u = _dot_mod(floors, m[0], modulus)
+        sums += [u, ((T + 2) * ((K + 2) * u - _dot_mod(with_pk, m[1], modulus))
+                     - (K + 2) * _dot_mod(_mul_mod(floors, pt, modulus), m[1], modulus)
+                     + _dot_mod(_mul_mod(with_pk, pt, modulus), m[2], modulus))]
+    return tuple(sums)

@@ -29,6 +29,11 @@ def tables4096():
 
 
 @pytest.fixture(scope="session")
+def tables10m():
+    return sieve(10**7)
+
+
+@pytest.fixture(scope="session")
 def universe():
     """universe(m, n): the line oracle's enumeration of the grid, built once per test run."""
     return functools.cache(lambda m, n: enumerate_by_lines(GridSpec(m, n)))

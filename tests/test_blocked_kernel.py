@@ -179,11 +179,6 @@ def test_mertens_pass_refuses_a_point_whose_terms_leave_int64():
         _mertens_pass(np.ones(4, dtype=np.int8), np.array([1, 2**31], dtype=np.int64))
 
 
-@pytest.fixture(scope="module")
-def tables10m():
-    return sieve(10**7)
-
-
 def _random_pairs(rng: random.Random, count: int) -> list[tuple[HalfInt, HalfInt]]:
     pairs = []
     for _ in range(count):

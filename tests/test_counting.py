@@ -5,12 +5,14 @@ oracle and frozen here; the oracle-equivalence tests recompute them live.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridthresh import (
+    CountBreakdown,
     GridSpec,
     breakdown,
     count_p,
@@ -19,15 +21,19 @@ from gridthresh import (
     count_total,
     count_unstable,
     enumerate_by_subsets,
+    kernel_sieve_limit,
     sieve,
     u_mobius,
     u_naive,
+    uv_blocked,
     uv_square_sequence,
     v_fast,
     v_naive,
 )
 from gridthresh import numtheory, residual_sweep
 from gridthresh.numtheory import HalfInt
+
+from conftest import RANDOM_SEED
 
 TABLES = sieve(256)
 
@@ -218,12 +224,57 @@ def test_blocks_are_built_once_per_argument_pair(monkeypatch):
         run()
         return list(built)
 
-    # U(m, n) and 4V(m, n) share one set of blocks; the half pair has its own
-    assert blocks_built(lambda: breakdown(GridSpec(30, 12), TABLES)) == [(30, 12), (15, 6)]
-    assert blocks_built(lambda: breakdown(GridSpec(255, 200), TABLES)) == [(255, 200), (127, 100)]
+    # U(m, n), 4V(m, n) and the half-argument 4V share one set of blocks
+    assert blocks_built(lambda: breakdown(GridSpec(30, 12), TABLES)) == [(30, 12)]
+    assert blocks_built(lambda: breakdown(GridSpec(255, 200), TABLES)) == [(255, 200)]
     # a degenerate grid's sums are empty, so it builds no blocks
     assert blocks_built(lambda: breakdown(GridSpec(30, 0), TABLES)) == []
     assert blocks_built(lambda: count_total(GridSpec(30, 12), TABLES)) == [(30, 12)]
     pairs = [(16, 16), (32, 32), (1000, 1), (3000, 1), (1000, 2), (3000, 2)]
     assert blocks_built(lambda: residual_sweep(TABLES, square_ks=(16, 32), aniso_ns=(1, 2),
                                                aniso_ms=(1000, 3000))) == pairs
+
+
+def breakdown_by_two_kernel_calls(grid: GridSpec, tables) -> CountBreakdown:
+    """The earlier breakdown: one blocked kernel call at (m, n), one at ((m-1)/2, (n-1)/2)."""
+    m, n = grid.m, grid.n
+    u, four_v = uv_blocked(m, n, tables)
+    total = (2 * m + 1) * (2 * n + 1) + 1 + four_v.quadrupled
+    unstable = 0
+    if not grid.is_degenerate:
+        four_v_half = uv_blocked(HalfInt(m - 1), HalfInt(n - 1), tables)[1].quadrupled
+        unstable = 2 * m * n - u + 2 * four_v_half
+    f_class = total // 2 - 1
+    return CountBreakdown(
+        grid=grid,
+        stable=f_class - unstable,
+        unstable=unstable,
+        f_class=f_class,
+        total=total,
+        provenance="geometric" if grid.is_degenerate else "formula",
+    )
+
+
+def test_breakdown_equals_the_two_call_assembly_on_every_small_grid():
+    for m in range(41):
+        for n in range(41):
+            grid = GridSpec(m, n)
+            assert breakdown(grid, TABLES) == breakdown_by_two_kernel_calls(grid, TABLES), (m, n)
+
+
+def test_breakdown_equals_the_two_call_assembly_up_to_a_billion():
+    rng = random.Random(RANDOM_SEED + 9)
+    top = 10**9
+    tables = sieve(kernel_sieve_limit(top, top))  # reaches every pair below
+    pairs = [(top, top), (top - 1, top - 1), (top - 1, top)]
+    for _ in range(4):  # odd and even sides of one magnitude
+        side = rng.randrange(10**6, top)
+        pairs.append((side | 1, (side + rng.randrange(1, 10**6)) | 1))
+        pairs.append((side & ~1, (side + rng.randrange(1, 10**6)) & ~1))
+    for _ in range(4):  # skewed, the long side on either axis
+        short = rng.randrange(1, 10**5)
+        long = rng.randrange(10**8, top + 1)
+        pairs.append((short, long) if rng.random() < 0.5 else (long, short))
+    for m, n in pairs:
+        grid = GridSpec(m, n)
+        assert breakdown(grid, tables) == breakdown_by_two_kernel_calls(grid, tables), (m, n)

@@ -58,12 +58,12 @@ def test_every_short_sequence_equals_the_python_ints(tables):
 
 
 def test_sequence_across_a_chunk_and_past_int64_equals_the_python_ints(tables):
-    n = _SPAN + 2
+    n = 2 * _SPAN + 2
     expected = square_sequence_by_python_ints(n, tables)
     assert uv_square_sequence(n, tables) == expected
     assert count_p_sequence(n + 1, tables) == p_by_python_ints(n + 1, tables)
     chunks = list(_square_chunks(n, tables))
-    assert [len(c) for _, c, _ in chunks] == [_SPAN, 3]
+    assert [len(c) for _, c, _ in chunks] == [_SPAN, _SPAN, 3]
     assert all(v.dtype == object for _, _, v in chunks)
     assert max(expected[1]) >= 2**63
 
