@@ -44,7 +44,8 @@ print(f"  stable {b.stable}, unstable {b.unstable}, |F| = {b.f_class}, "
 
 # scale: a million-valued logic, still exact; a single term goes through
 # the blocked Moebius kernel, which sieves only to about 8 k^(2/3) and
-# gets the weighted Mertens sums above that from a memoised recursion
+# gets the weighted Mertens sums above that from a batched recursion,
+# computed per call at the block ends alone
 started = time.perf_counter()
 big_tables = sieve(kernel_sieve_limit(10**6 - 1, 10**6 - 1))
 value = count_p(10**6, big_tables)

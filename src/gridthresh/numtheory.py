@@ -35,27 +35,27 @@ uv_blocked returns U and 4V of one argument pair from one set of blocks,
 and _uv_on_blocks adds the half-argument pair of a breakdown on the same
 blocks.  On a block 2A is linear in d, so a block contributes a
 quadratic in d and needs only the differences of M_0, M_1, M_2 at its
-ends; U is the M_0 term.  Those sums are recorded per NTTables at the
-block ends alone, O(sqrt(t) + sqrt(k)) points closed under x -> x // q,
-never over the whole sieve.  The points within the sieve limit take one
-pass over mu in chunks of 2^15 terms, each taken about its base lo: the
-terms mu(d) (d - lo)^j fit int32, np.add.reduceat sums them between
-points in int64, and sum mu(d) d^2 = S_2 + 2 lo S_1 + lo^2 S_0 (with
-S_j the sums of mu(d) (d - lo)^j) shifts them back.  The recorded values
-leave int64 only where a total's magnitude may reach 2^62 (beyond
-every sieve limit of a side the CLI admits).  The points above the limit
-come from the Dirichlet identity sum_{d<=x} d^j M_j(x // d) = 1
-(Deleglise & Rivat, Exp. Math. 1996), evaluated for groups of points at
-once.  So the kernel needs a sieve only to
-kernel_sieve_limit(t, k) = min(D, ceil(8 K^(2/3))), with D and K the
-shorter and longer ceil argument, not to D, and holds nothing of the
-sieve's length but mu.  Its block sums run on
-uint64 arrays in one pass per modulus, once mod 2^64 and once mod each
-of as many 32-bit primes as the larger proven bound needs, and the
-Chinese remainder theorem joins the residues of U and of 4V into the
-exact integers; a bound below 2^63 needs the 2^64 pass alone.  While
-the recorded sums within the sieve fit int64, as they do at every side
-the CLI admits, no object array is built on the way.
+ends; U is the M_0 term.  Those sums are computed per kernel call at
+the block ends alone, O(sqrt(t) + sqrt(k)) points closed under
+x -> x // q, never over the whole sieve, and NTTables keeps none of
+them.  The points within the sieve limit take one pass over mu in
+chunks of 2^15 terms, each taken about its base lo: the terms
+mu(d) (d - lo)^j fit int32, np.add.reduceat sums them between points in
+int64, and sum mu(d) d^2 = S_2 + 2 lo S_1 + lo^2 S_0 (with S_j the sums
+of mu(d) (d - lo)^j) shifts them back.  The values at the points leave
+int64 only where a total's magnitude may reach 2^62 (beyond every sieve
+limit of a side the CLI admits).  The points above the limit come from
+the Dirichlet identity sum_{d<=x} d^j M_j(x // d) = 1 (Deleglise &
+Rivat, Exp. Math. 1996), evaluated for groups of points at once.  So
+the kernel needs a sieve only to kernel_sieve_limit(t, k) =
+min(D, ceil(8 K^(2/3))), with D and K the shorter and longer ceil
+argument, not to D, and holds nothing of the sieve's length but mu.
+Its block sums run on uint64 arrays in one pass per modulus, once mod
+2^64 and once mod each of as many 32-bit primes as the larger proven
+bound needs, and the Chinese remainder theorem joins the residues of U
+and of 4V into the exact integers; a bound below 2^63 needs the 2^64
+pass alone.  While the sums within the sieve fit int64, as they do at
+every side the CLI admits, no object array is built on the way.
 
 The square sequence serves whole OEIS b-files.  With C_j, S_j and Q_j the
 count, sum of i and sum of i*j over coprime pairs (i, j) in [1, j]^2,
@@ -79,7 +79,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -196,23 +196,6 @@ class QuarterInt:
         return f"QuarterInt({self.quadrupled}/4)"
 
 
-class _Recorded(NamedTuple):
-    """Weighted Mertens sums at the points recorded so far; never changed once published.
-
-    ``values[:, i]`` is (M_0, M_1, M_2) at ``points[i]``, the sorted points
-    within the sieve limit: int64, or Python ints once a value may leave
-    int64.  ``above`` holds the points past the limit, from the recursion.
-    """
-
-    points: np.ndarray
-    values: np.ndarray
-    above: dict[int, tuple[int, int, int]]
-
-
-def _nothing_recorded() -> _Recorded:
-    return _Recorded(np.zeros(0, dtype=np.int64), np.zeros((3, 0), dtype=np.int64), {})
-
-
 @dataclass(frozen=True, eq=False)
 class NTTables:
     """Arithmetic tables up to ``limit``, each built on first access.
@@ -226,49 +209,45 @@ class NTTables:
     denominator of Psi(k) grows like lcm(1..k)).  Arrays are indexed
     1..limit (index 0 is a zero sentinel) and read-only.
 
-    The weighted Mertens sums M_j are not tabled over 1..limit: they are
-    recorded only at the points the blocked kernel reads, O(sqrt) of them
-    per argument pair.  Missing points within the limit are filled by one
-    chunked pass over mu, those past it by the batched Dirichlet recursion,
-    and the new record is published whole.  Every lazy build, every
-    extension of the Psi prefix and every Mertens record happens under one
-    per-instance re-entrant lock, so a single instance is safe to share
-    across threads.
+    An instance holds tables alone: the weighted Mertens sums M_j are
+    computed per kernel call at that call's block ends (see _mertens_at),
+    and nothing of them is kept here.  Every lazy build and every
+    extension of the Psi prefix happens under one per-instance re-entrant
+    lock, so a single instance is safe to share across threads.
     """
 
     limit: int
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-    _sieved: dict[str, Any] = field(default_factory=dict, repr=False)
-    _totients: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _built: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _psi_cache: list[Fraction] = field(default_factory=lambda: [Fraction(0)], repr=False)
 
     def __post_init__(self) -> None:
         if self.limit < 1:
             raise ValueError(f"sieve limit must be >= 1, got {self.limit}")
 
-    def _lazy(self, store: dict, name: str, build: Callable[[], Any]) -> Any:
-        table = store.get(name)  # a table is stored only once fully built
+    def _lazy(self, name: str, build: Callable[[], np.ndarray]) -> np.ndarray:
+        table = self._built.get(name)  # a table is stored only once fully built
         if table is None:
             with self._lock:
-                if name not in store:
-                    store[name] = build()
-                table = store[name]
+                if name not in self._built:
+                    self._built[name] = build()
+                table = self._built[name]
         return table
 
     @property
     def mu(self) -> np.ndarray:
         """Moebius function, sieved on first access."""
-        return self._lazy(self._sieved, "mu", lambda: _mu_table(self.limit))
+        return self._lazy("mu", lambda: _mu_table(self.limit))
 
     @property
     def phi(self) -> np.ndarray:
         """Euler totient, sieved on first access."""
-        return self._lazy(self._totients, "phi", lambda: _phi_table(self.limit))
+        return self._lazy("phi", lambda: _phi_table(self.limit))
 
     @property
     def Phi(self) -> np.ndarray:
         """Cumulative totient sum_{i<=k} phi(i), built on first access."""
-        return self._lazy(self._totients, "Phi", lambda: _read_only(np.cumsum(self.phi)))
+        return self._lazy("Phi", lambda: _read_only(np.cumsum(self.phi)))
 
     @property
     def psi_float(self) -> np.ndarray:
@@ -279,56 +258,7 @@ class NTTables:
             ratios[1:] /= np.arange(1, self.limit + 1, dtype=np.float64)
             return _read_only(np.cumsum(ratios))
 
-        return self._lazy(self._totients, "psi_float", build)
-
-    def _mertens_at(self, xs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-        """M_j at ascending int64 xs >= 1, recording the points not yet recorded.
-
-        Returns (M_0, M_1, M_2) as a (3, s) array for the s xs within the
-        limit, and as triples for the xs past it.  xs must be closed under
-        x -> x // q (as _block_ends makes them), so that every value the
-        recursion reads is recorded with them.
-        """
-        low = xs[: int(np.searchsorted(xs, self.limit, side="right"))]
-        high = xs[len(low):].tolist()
-        record = self._sieved.get("mertens")
-        if record is not None:
-            at, found = _lookup(record, low)
-        if record is None or not found.all() or any(x not in record.above for x in high):
-            with self._lock:
-                record = self._record(low, high)
-            at, _ = _lookup(record, low)
-        return record.values.take(at, axis=1), [record.above[x] for x in high]
-
-    def _record(self, low: np.ndarray, high: list[int]) -> _Recorded:
-        """The record with every point of low and high in it; call under the lock.
-
-        The points within the limit are summed by one pass over mu, the
-        rest by the recursion, which reads them; the extended record is
-        published only once it is whole.
-        """
-        record = self._sieved.get("mertens") or _nothing_recorded()
-        found = _lookup(record, low)[1]
-        high = sorted({x for x in high if x not in record.above})
-        if high and math.isqrt(high[-1]) > self.limit:
-            raise CapacityError(f"M_j({high[-1]}) needs the sieve to reach "
-                                f"{math.isqrt(high[-1])}, it stops at {self.limit}")
-        if not found.all():
-            points = low[~found]  # sorted; keep the first of each repeated end
-            points = points[np.concatenate(([True], points[1:] != points[:-1]))]
-            values = _mertens_pass(self.mu, points)
-            if len(record.points):
-                points = np.concatenate((record.points, points))
-                order = np.argsort(points, kind="stable")
-                points = points[order]
-                values = np.concatenate((record.values, values), axis=1)[:, order]
-            record = _Recorded(_read_only(points), _read_only(values), record.above)
-        if high:
-            above = dict(record.above)
-            _mertens_recurse(high, self.limit, record.points, record.values, above)
-            record = _Recorded(record.points, record.values, above)
-        self._sieved["mertens"] = record
-        return record
+        return self._lazy("psi_float", build)
 
     def psi(self, k: int) -> Fraction:
         """Exact Psi(k) = sum_{i<=k} phi(i)/i."""
@@ -346,14 +276,6 @@ class NTTables:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _lookup(record: _Recorded, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of the sorted xs sits in record.points, and whether it is recorded."""
-    at = np.searchsorted(record.points, xs)
-    if not len(record.points):
-        return at, np.zeros(len(xs), dtype=bool)
-    return at, record.points.take(at, mode="clip") == xs
 
 
 def _small_primes(root: int) -> list[int]:
@@ -631,7 +553,7 @@ def kernel_sieve_limit(t: int, k: int) -> int:
     min(D, ceil(KERNEL_SIEVE_C * K^(2/3))) with D = min(t, k) and
     K = max(t, k), in integer arithmetic, and at least 1.  The block ends
     above the limit are the values t // q and k // q in (limit, D]; the
-    recursion records M_j there at a cost of about (t + k) /
+    recursion computes M_j there at a cost of about (t + k) /
     sqrt(limit), against the sieve's O(limit), so the limit follows the
     long side and stops at the short one.  For a square of side D up to
     512 it is D itself.
@@ -682,6 +604,33 @@ def _dot(a: np.ndarray, b: np.ndarray, bound: Optional[int] = None) -> int:
     if (bound is not None and bound < _INT64_SAFE) or _int64_exact(a, b):
         return int(a @ b)
     return int(a.astype(object) @ b.astype(object))
+
+
+def _mertens_at(tables: NTTables, xs: np.ndarray
+                ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """M_j at ascending int64 xs >= 1, computed for this call alone.
+
+    Returns (M_0, M_1, M_2) as a (3, s) array for the s xs within the
+    limit, and as triples for the xs past it.  xs must be closed under
+    x -> x // q (as _block_ends makes them), so that every value the
+    recursion reads is among them.  A point past the limit whose isqrt is
+    past it too raises CapacityError before any pass.  The distinct
+    points within the limit take one _mertens_pass, those past it one
+    _mertens_recurse; nothing is kept on ``tables``.
+    """
+    split = int(np.searchsorted(xs, tables.limit, side="right"))
+    high = xs[split:].tolist()
+    if high and math.isqrt(high[-1]) > tables.limit:
+        raise CapacityError(f"M_j({high[-1]}) needs the sieve to reach "
+                            f"{math.isqrt(high[-1])}, it stops at {tables.limit}")
+    low = xs[:split]
+    first = np.concatenate(([True], low[1:] != low[:-1]))  # the first of each repeated end
+    points = low[first]
+    values = _mertens_pass(tables.mu, points)
+    above: dict[int, tuple[int, int, int]] = {}
+    if high:
+        above = _mertens_recurse(list(dict.fromkeys(high)), tables.limit, points, values)
+    return values[:, np.cumsum(first) - 1], [above[x] for x in high]
 
 
 def _mertens_pass(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -772,23 +721,24 @@ def _segment_dots(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> list[int
     return sums.tolist()
 
 
-def _mertens_recurse(xs: list[int], limit: int, points: np.ndarray, values: np.ndarray,
-                     above: dict[int, tuple[int, int, int]]) -> None:
-    """Record (M_0, M_1, M_2) at ascending xs past ``limit`` in ``above``.
+def _mertens_recurse(xs: list[int], limit: int, points: np.ndarray, values: np.ndarray
+                     ) -> dict[int, tuple[int, int, int]]:
+    """(M_0, M_1, M_2) at ascending distinct xs past ``limit``, keyed by x.
 
     From sum_{d<=x} d^j M_j(x // d) = 1, split at r = isqrt(x) <= limit
     (Deleglise & Rivat, Exp. Math. 1996).  The d <= n = x // (limit + 1)
-    read x // d past the limit from ``above``; the d in (n, r] read x // d
-    from the recorded points; the d > r are grouped by v = x // d <= r,
-    each v weighted by the power sums over its range of d.  The terms from
-    the recorded points are built for a group of xs at once (np.repeat
-    offsets and one searchsorted) and summed per x with reduceat, a group
-    holding at most _SPAN of them unless one x alone has more.  The few
-    terms from ``above`` follow in a Python loop in ascending x, so each
-    x // q is recorded before it is read.  points must hold every x // d
-    and v that is read.
+    read x // d past the limit from the xs before; the d in (n, r] read
+    x // d from ``points``; the d > r are grouped by v = x // d <= r, each
+    v weighted by the power sums over its range of d.  The terms from
+    ``points`` are built for a group of xs at once (np.repeat offsets and
+    one searchsorted) and summed per x with reduceat, a group holding at
+    most _SPAN of them unless one x alone has more.  The few
+    terms from the xs before follow in a Python loop in ascending x, so
+    each x // q is computed before it is read.  points must hold every
+    x // d and v that is read, with their sums in ``values``.
     """
     roots = [math.isqrt(x) for x in xs]
+    above: dict[int, tuple[int, int, int]] = {}
     start = size = 0
     for i, (x, r) in enumerate(zip(xs, roots)):
         terms = r - min(r, x // (limit + 1)) + x // (r + 1)
@@ -797,6 +747,7 @@ def _mertens_recurse(xs: list[int], limit: int, points: np.ndarray, values: np.n
             start, size = i, 0
         size += terms
     _recurse_group(xs[start:], roots[start:], limit, points, values, above)
+    return above
 
 
 def _recurse_group(xs: list[int], roots: list[int], limit: int, points: np.ndarray,
@@ -835,10 +786,11 @@ def _recurse_group(xs: list[int], roots: list[int], limit: int, points: np.ndarr
 def weighted_mertens(x: int, tables: NTTables) -> tuple[int, int, int]:
     """(M_0(x), M_1(x), M_2(x)) with M_j(x) = sum_{d<=x} d^j mu(d), exact.
 
-    Records x with its quotient points in ``tables``, through the generator
-    of the kernel's block ends: by one pass over mu within the sieve limit,
-    and past it by the batched Dirichlet recursion, which needs isqrt(x)
+    Computed for this call at x and its quotient points, the kernel's
+    block ends of (x, x): by one pass over mu within the sieve limit, and
+    past it by the batched Dirichlet recursion, which needs isqrt(x)
     within the limit (CapacityError otherwise, before anything is built).
+    Nothing is kept on ``tables``.
     """
     if x < 0:
         raise ValueError(f"M_j is defined for x >= 0, got {x}")
@@ -847,7 +799,7 @@ def weighted_mertens(x: int, tables: NTTables) -> tuple[int, int, int]:
     if math.isqrt(x) > tables.limit:
         raise CapacityError(f"M_j({x}) needs the sieve to reach {math.isqrt(x)}, "
                             f"it stops at {tables.limit}")
-    low, high = tables._mertens_at(_block_ends(x, x))  # x is the last end
+    low, high = _mertens_at(tables, _block_ends(x, x))  # x is the last end
     if high:
         return high[-1]
     m0, m1, m2 = low[:, -1].tolist()
@@ -880,13 +832,14 @@ def _blocks(ct: int, ck: int, tables: NTTables
             ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """Block ends (see _block_ends) and, per block, the sums of d^j mu(d).
 
-    The sums are differences of M_j at consecutive ends, read from the
-    points ``tables`` records.  They come in two parts: rows j = 0, 1, 2
-    for the blocks that end within the sieve limit (int64 while the
-    recorded values are), and Python-int triples for the blocks after them.
+    The sums are differences of M_j at consecutive ends, which
+    _mertens_at computes for this call.  They come in two parts: rows
+    j = 0, 1, 2 for the blocks that end within the sieve limit (int64
+    while the M_j there are), and Python-int triples for the blocks after
+    them.
     """
     ends = _block_ends(ct, ck)
-    low, above = tables._mertens_at(ends)
+    low, above = _mertens_at(tables, ends)
     before = low[:, -1].tolist()
     low[:, 1:] = low[:, 1:] - low[:, :-1]  # ends[0] = 1 is within every limit
     high = []

@@ -42,6 +42,9 @@ and its complement from that result's candidate scan, by lookup in its
 stable masks and vertex map, so a census scans its grid once.  A census
 costs O(|universe| (P + |universe|)), so grids above TEACH_POINT_CAP
 points are refused with CapacityError before anything is enumerated.
+A census that enumerates its own universe runs the line oracle, which
+also refuses a side above oracle.LINES_EXTENT_CAP = 30 with
+CapacityError before it scans: so grid (31, 0), of 32 points, is refused.
 """
 
 from __future__ import annotations
@@ -269,7 +272,10 @@ def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> Cens
     """The minimum teaching set and the rule's size of every threshold
     function of the grid.
 
-    ``universe``, if given, is the grid's enumeration and is not redone.
+    ``universe``, if given, is the grid's enumeration and is not redone;
+    otherwise enumerate_by_lines builds it.  Raises CapacityError before
+    enumerating when the grid has more than TEACH_POINT_CAP points, or,
+    with no universe given, a side above LINES_EXTENT_CAP.
     """
     _check_capacity(grid)
     if universe is None:

@@ -52,6 +52,7 @@ from gridthresh.numtheory import (
     _block_ends,
     _blocks,
     _dot,
+    _mertens_at,
     _mertens_pass,
     _power_sum,
     _v_prepare,
@@ -146,6 +147,8 @@ def test_weighted_mertens_refuses_x_past_its_sieve_before_allocating():
         for x in (16, 10**18):  # isqrt(x) > 3: the recursion would read past the sieve
             with pytest.raises(CapacityError):
                 weighted_mertens(x, tiny)
+        with pytest.raises(CapacityError):  # and the kernel's own entry, before any pass
+            _mertens_at(tiny, _block_ends(16, 16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,9 +228,14 @@ def test_blocked_kernels_full_sieve_equals_limit_sieve():
 def test_blocked_kernels_share_one_tables_across_threads():
     t, k = 10**6, 1_234_567
     limit = kernel_sieve_limit(t, k)
-    expected = [blocked_v(t, k, sieve(limit)), blocked_u(t, k, sieve(limit)),
-                blocked_v(HalfInt(t - 1), HalfInt(k - 1), sieve(limit)),
-                weighted_mertens(k, sieve(limit))]
+    past_limit = (limit + 1, 3 * limit + 7, t, k, 10**8)  # isqrt(10^8) is within the limit
+
+    def calls(tables) -> list:
+        return [blocked_v(t, k, tables), blocked_u(t, k, tables),
+                blocked_v(HalfInt(t - 1), HalfInt(k - 1), tables),
+                *(weighted_mertens(x, tables) for x in past_limit)]
+
+    expected = calls(sieve(limit))  # serially, on one tables
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -237,10 +245,8 @@ def test_blocked_kernels_share_one_tables_across_threads():
 
             def work() -> None:
                 try:
-                    results.append([blocked_v(t, k, tables), blocked_u(t, k, tables),
-                                    blocked_v(HalfInt(t - 1), HalfInt(k - 1), tables),
-                                    weighted_mertens(k, tables)])
-                except Exception as exc:  # a half-built table or memo raises, e.g. KeyError
+                    results.append(calls(tables))
+                except Exception as exc:  # a half-built table raises, e.g. KeyError
                     results.append(exc)
 
             threads = [threading.Thread(target=work) for _ in range(4)]
@@ -250,6 +256,7 @@ def test_blocked_kernels_share_one_tables_across_threads():
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
             assert results == [expected] * 4
+            assert set(tables._built) == {"mu"}
     finally:
         sys.setswitchinterval(interval)
 
@@ -356,7 +363,6 @@ def test_block_ends_follow_the_short_side(tables512, short, extra):
 
 def test_blocks_of_a_skewed_pair_allocate_for_the_short_side():
     tiny = sieve(3)
-    weighted_mertens(tiny.limit, tiny)  # records its points before the measurement
     t = 10**14
     tracemalloc.start()
     try:
@@ -369,7 +375,7 @@ def test_blocks_of_a_skewed_pair_allocate_for_the_short_side():
     assert v == v_fast(t, 3, tiny)
 
 
-# -- the recorded Mertens points against dense prefix sums ------------------
+# -- the Mertens sums at the block ends against dense prefix sums ----------
 
 def dense_mertens(mu: np.ndarray) -> np.ndarray:
     """M_j(x) for j = 0, 1, 2 and every x = 0..len(mu) - 1, by np.cumsum in Python ints."""
@@ -416,13 +422,10 @@ def test_mertens_pass_equals_dense_prefix_at_every_block_end():
     while len(pairs) < 200:
         short = rng.randrange(1, limit + 1)
         pairs.append((short, short + rng.randrange(0, 50 * short)))
-    for i, (ct, ck) in enumerate(pairs):
+    for ct, ck in pairs:
         ends = _block_ends(ct, ck)
         low = ends[ends <= limit]
-        # one tables records every pair in turn; a fresh one starts empty
-        for recorder in (tables, sieve(limit)) if i % 10 == 0 else (tables,):
-            at, _ = recorder._mertens_at(ends)
-            assert at.tolist() == dense[:, low].tolist(), (ct, ck)
+        assert _mertens_at(tables, ends)[0].tolist() == dense[:, low].tolist(), (ct, ck)
     boundaries = np.array([1, _SPAN - 1, _SPAN, _SPAN + 1, 2 * _SPAN, 2 * _SPAN + 1, limit],
                           dtype=np.int64)
     assert _mertens_pass(tables.mu, boundaries).tolist() == dense[:, boundaries].tolist()
@@ -444,7 +447,7 @@ def test_batched_recursion_equals_the_per_point_recursion(top):
         for x in sorted(set(high)):
             if x not in memo:
                 memo[x] = mertens_recurse_per_point(x, prefix, memo)
-        assert tables._mertens_at(ends)[1] == [memo[x] for x in high], (ct, ck)
+        assert _mertens_at(tables, ends)[1] == [memo[x] for x in high], (ct, ck)
     assert weighted_mertens(top, tables) == memo[top]
 
 
@@ -466,21 +469,29 @@ def test_a_breakdown_makes_one_pass_over_mu(monkeypatch):
     assert kernel_sieve_limit(10**6, 8 * 10**6) < 10**6
 
 
-def test_a_breakdown_records_only_the_points_it_reads():
+def test_a_kernel_call_keeps_nothing_on_its_tables():
     grid = GridSpec(10**6, 8 * 10**6)
     limit = kernel_sieve_limit(grid.m, grid.n)
     tables = sieve(limit)  # mu is sieved before the measurement
     expected = breakdown(grid, sieve(limit))
+    # the 27 grids of at most 20 points with both sides >= 1
+    small = [(m, n) for m in range(1, 20) for n in range(1, 20) if (m + 1) * (n + 1) <= 20]
+    assert len(small) == 27
     tracemalloc.start()
     try:
         assert breakdown(grid, tables) == expected
         retained, peak = tracemalloc.get_traced_memory()
+        for m, n in small:
+            breakdown(GridSpec(m, n), tables)
+        retained_after_small = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert peak < 16 * limit
-    assert retained < 2**20
-    record = tables._sieved["mertens"]
-    assert len(record.points) < limit // 20
+    # kept, the Mertens sums at the breakdown's 6649 block ends would hold
+    # about 180 kB; what stays is a few kB of the interpreter's own caches
+    assert retained < 2**14
+    assert retained_after_small < 2**14
+    assert set(tables._built) == {"mu"}
 
 
 # -- the residue block sums against the earlier Python-int block sum --------

@@ -310,6 +310,15 @@ def test_teach_past_point_cap_exits_capacity_before_enumerating(capsys, monkeypa
     assert "capacity" in err.lower()
 
 
+def test_teach_past_the_line_extent_cap_exits_capacity(capsys):
+    # 32 points are within TEACH_POINT_CAP, but the census takes its universe
+    # from the line oracle, which refuses a side past LINES_EXTENT_CAP first
+    code, out, err = run(capsys, "teach", "--m", "31", "--n", "0")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err == "capacity error: grid (31, 0) exceeds the line-enumeration cap of 30\n"
+    assert run(capsys, "teach", "--m", "30", "--n", "1", "--check")[0] == EXIT_OK
+
+
 def test_teach_vertex_gap_outside_f_exits_mismatch(capsys, monkeypatch):
     original = gridthresh.oracle.scan_candidates
 
@@ -427,7 +436,7 @@ def test_oeis_builds_only_the_totient_table(capsys, monkeypatch):
         assert run(capsys, "oeis", "--sequence", sequence, "--count", "500")[0] == EXIT_OK
     assert len(built) == 3
     for tables in built:
-        assert set(tables._totients) == {"phi"} and not tables._sieved
+        assert set(tables._built) == {"phi"}
 
 
 def test_main_builds_no_parser_after_import(capsys, monkeypatch):
