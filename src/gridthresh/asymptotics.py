@@ -22,7 +22,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .counting import _total
 from .numtheory import NTTables, uv_blocked
@@ -46,13 +46,14 @@ class AsymptoticReport:
 
 
 def _report(family: str, args: tuple[int, ...], exact: int,
-            estimate: float, scale: float) -> AsymptoticReport:
-    residual = float(exact) - estimate
+            estimate: Union[float, Fraction], scale: float) -> AsymptoticReport:
+    """A row; a Fraction estimate gives an exact residual, rounded once."""
+    residual = float(exact - estimate)
     return AsymptoticReport(
         family=family,
         args=args,
         exact=exact,
-        estimate=estimate,
+        estimate=float(estimate),
         residual=residual,
         scale=scale,
         normalized_residual=abs(residual) / scale,
@@ -103,16 +104,14 @@ def residual_sweep(
         rows.append(_report("total_leading", (k, k), _total(k, k, four_v.quadrupled),
                             leading_estimate(k, k), float(k)**3 * math.log(k)))
     for n in aniso_ns:
-        psi_n = float(tables.psi(n))
+        psi_n, coeff = tables.psi(n), anisotropic_coefficient(n, tables)
         for m in aniso_ms:
             u, four_v = uv_blocked(m, n, tables)
             rows.append(_report("umkC", (m, n), u, psi_n * m, float(n * n)))
-            coeff = anisotropic_coefficient(n, tables) / 4  # V carries N/4
-            rows.append(_report("vmkC", (m, n), four_v.as_int(),
-                                float(coeff * m * m), float(m) * n**3))
+            rows.append(_report("vmkC", (m, n), four_v.as_int(),  # V carries N/4
+                                coeff / 4 * m * m, float(m) * n**3))
             rows.append(_report("total_anisotropic", (m, n), _total(m, n, four_v.quadrupled),
-                                anisotropic_estimate(m, n, tables),
-                                float(m) * n**3))
+                                coeff * m * m, float(m) * n**3))
     return rows
 
 

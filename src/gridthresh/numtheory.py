@@ -35,10 +35,11 @@ uv_blocked returns U and 4V of one argument pair from one set of blocks,
 and _uv_on_blocks adds the half-argument pair of a breakdown on the same
 blocks.  On a block 2A is linear in d, so a block contributes a
 quadratic in d and needs only the differences of M_0, M_1, M_2 at its
-ends; U is the M_0 term.  Those sums are computed per kernel call at
-the block ends alone, O(sqrt(t) + sqrt(k)) points closed under
-x -> x // q, never over the whole sieve, and NTTables keeps none of
-them.  The points within the sieve limit take one pass over mu in
+ends; U is the M_0 term.  _block_ends alone defines the blocks: their
+ends are O(sqrt(t) + sqrt(k)) points, ascending, distinct and closed
+under x -> x // q.  Those sums are computed per kernel call at the ends
+alone, never over the whole sieve, and NTTables keeps none of them.
+The points within the sieve limit take one pass over mu in
 chunks of 2^15 terms, each taken about its base lo: the terms
 mu(d) (d - lo)^j fit int32, np.add.reduceat sums them between points in
 int64, and sum mu(d) d^2 = S_2 + 2 lo S_1 + lo^2 S_0 (with S_j the sums
@@ -200,10 +201,9 @@ class QuarterInt:
 class NTTables:
     """Arithmetic tables up to ``limit``, each built on first access.
 
-    mu (which :func:`sieve` builds eagerly), phi, Phi (the cumulative
-    totient) and ``psi_float`` (Psi in float64) are each built once, from
-    what they derive from: Phi and ``psi_float`` from phi.  A caller that
-    reads only phi therefore builds only phi.  Exact Psi is exposed through
+    mu (which :func:`sieve` builds eagerly), phi and Phi (the cumulative
+    totient) are each built once, Phi from phi.  A caller that reads only
+    phi therefore builds only phi.  Exact Psi is exposed through
     :meth:`psi` as a Fraction, its prefix extended on demand (an eager
     array of exact Psi values is impossible at large limits: the reduced
     denominator of Psi(k) grows like lcm(1..k)).  Arrays are indexed
@@ -248,17 +248,6 @@ class NTTables:
     def Phi(self) -> np.ndarray:
         """Cumulative totient sum_{i<=k} phi(i), built on first access."""
         return self._lazy("Phi", lambda: _read_only(np.cumsum(self.phi)))
-
-    @property
-    def psi_float(self) -> np.ndarray:
-        """Psi(k) = sum_{i<=k} phi(i)/i in float64, built on first access."""
-
-        def build() -> np.ndarray:
-            ratios = self.phi.astype(np.float64)
-            ratios[1:] /= np.arange(1, self.limit + 1, dtype=np.float64)
-            return _read_only(np.cumsum(ratios))
-
-        return self._lazy("psi_float", build)
 
     def psi(self, k: int) -> Fraction:
         """Exact Psi(k) = sum_{i<=k} phi(i)/i."""
@@ -608,29 +597,27 @@ def _dot(a: np.ndarray, b: np.ndarray, bound: Optional[int] = None) -> int:
 
 def _mertens_at(tables: NTTables, xs: np.ndarray
                 ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """M_j at ascending int64 xs >= 1, computed for this call alone.
+    """M_j at ascending distinct int64 xs >= 1, computed for this call alone.
 
     Returns (M_0, M_1, M_2) as a (3, s) array for the s xs within the
     limit, and as triples for the xs past it.  xs must be closed under
     x -> x // q (as _block_ends makes them), so that every value the
     recursion reads is among them.  A point past the limit whose isqrt is
-    past it too raises CapacityError before any pass.  The distinct
-    points within the limit take one _mertens_pass, those past it one
-    _mertens_recurse; nothing is kept on ``tables``.
+    past it too raises CapacityError before any pass.  The points within
+    the limit take one _mertens_pass, those past it one _mertens_recurse;
+    nothing is kept on ``tables``.
     """
     split = int(np.searchsorted(xs, tables.limit, side="right"))
     high = xs[split:].tolist()
     if high and math.isqrt(high[-1]) > tables.limit:
         raise CapacityError(f"M_j({high[-1]}) needs the sieve to reach "
                             f"{math.isqrt(high[-1])}, it stops at {tables.limit}")
-    low = xs[:split]
-    first = np.concatenate(([True], low[1:] != low[:-1]))  # the first of each repeated end
-    points = low[first]
+    points = xs[:split]
     values = _mertens_pass(tables.mu, points)
     above: dict[int, tuple[int, int, int]] = {}
     if high:
-        above = _mertens_recurse(list(dict.fromkeys(high)), tables.limit, points, values)
-    return values[:, np.cumsum(first) - 1], [above[x] for x in high]
+        above = _mertens_recurse(high, tables.limit, points, values)
+    return values, [above[x] for x in high]
 
 
 def _mertens_pass(mu: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -734,8 +721,9 @@ def _mertens_recurse(xs: list[int], limit: int, points: np.ndarray, values: np.n
     one searchsorted) and summed per x with reduceat, a group holding at
     most _SPAN of them unless one x alone has more.  The few
     terms from the xs before follow in a Python loop in ascending x, so
-    each x // q is computed before it is read.  points must hold every
-    x // d and v that is read, with their sums in ``values``.
+    each x // q is computed before it is read: xs are closed under
+    x -> x // q past the limit, as _block_ends makes them.  points must
+    hold every x // d and v that is read, with their sums in ``values``.
     """
     roots = [math.isqrt(x) for x in xs]
     above: dict[int, tuple[int, int, int]] = {}
@@ -807,16 +795,16 @@ def weighted_mertens(x: int, tables: NTTables) -> tuple[int, int, int]:
 
 
 def _block_ends(ct: int, ck: int) -> np.ndarray:
-    """Ends of the blocks of d <= top = min(ct, ck), sorted, as int64.
+    """Ends of the blocks of d <= top = min(ct, ck): ascending, distinct, int64.
 
     Every d <= min(top, isqrt(max(ct, ck))) and, when that stops short of
-    top, the values n // q <= top for n = ct, ck and q <= isqrt(n); no q
-    with n // q > top is generated, so memory follows the blocks.  That
-    includes every point where ct // d or ck // d changes, so both are
-    constant on each block (a repeated end is an empty block).  The ends
-    are closed under x -> x // q, as the Mertens recursion needs: a
-    quotient of a quotient of n is a quotient of n, and one at or below
-    isqrt(n) is among the first ends.
+    top, the values n // q <= top for n = ct, ck and q <= isqrt(n), each
+    taken once; no q with n // q > top is generated, so memory follows the
+    blocks.  That includes every point where ct // d or ck // d changes,
+    so both are constant on each block.  The ends are closed under
+    x -> x // q, as the Mertens recursion needs: a quotient of a quotient
+    of n is a quotient of n, and one at or below isqrt(n) is among the
+    first ends.
     """
     top = min(ct, ck)
     root_t, root_k = math.isqrt(ct), math.isqrt(ck)
@@ -825,6 +813,8 @@ def _block_ends(ct: int, ck: int) -> np.ndarray:
         ends = np.sort(np.concatenate((
             ends, ct // np.arange(ct // (top + 1) + 1, root_t + 1, dtype=np.int64),
             ck // np.arange(ck // (top + 1) + 1, root_k + 1, dtype=np.int64))))
+        # first of each run: on 3000-3827 ends, np.unique took 300-380 us, sort and mask 31-38 us
+        ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
     return ends
 
 

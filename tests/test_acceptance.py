@@ -255,7 +255,7 @@ def test_criterion_07_asymptotic_bounds():
         if abs(int(tables.Phi[k]) - 3 * k * k / math.pi**2) / (k * math.log(k)) \
                 > PHI_DIRICHLET_PIN:
             failures.append(("Phi Dirichlet", k))
-        if abs(tables.psi_float[k] - 6 * k / math.pi**2) / math.log(k) > PSI_DIRICHLET_PIN:
+        if abs(float(tables.psi(k)) - 6 * k / math.pi**2) / math.log(k) > PSI_DIRICHLET_PIN:
             failures.append(("Psi Dirichlet", k))
     _verdict(7, f"N(k,k) within {TOTAL_RATIO_DEV_AT_4096} of (6/pi^2)k^4 at k=4096 "
                 f"(measured {dev[4096]:.2e}) and residual pins hold", failures)

@@ -13,6 +13,7 @@ from gridthresh import (
     leading_estimate,
     reports_to_csv,
     residual_sweep,
+    sieve,
 )
 from gridthresh.asymptotics import max_normalized_residual
 from gridthresh.pins import (
@@ -94,7 +95,7 @@ def test_dirichlet_pins(tables512):
     for k in range(16, 513):
         phi_dev = abs(int(tables512.Phi[k]) - 3 * k * k / math.pi**2) / (k * math.log(k))
         assert phi_dev <= PHI_DIRICHLET_PIN, k
-        psi_dev = abs(tables512.psi_float[k] - 6 * k / math.pi**2) / math.log(k)
+        psi_dev = abs(float(tables512.psi(k)) - 6 * k / math.pi**2) / math.log(k)
         assert psi_dev <= PSI_DIRICHLET_PIN, k
 
 
@@ -111,3 +112,16 @@ def test_report_fields_are_consistent(tables512):
     for r in rows:
         assert r.residual == pytest.approx(float(r.exact) - r.estimate)
         assert r.normalized_residual == pytest.approx(abs(r.residual) / r.scale)
+
+
+def test_anisotropic_residuals_are_exact_past_float_precision():
+    # m = 10^16 and 10^18 leave 1 mod 3 and 4 mod 6, so U(m, 3) - Psi(3) m
+    # is exactly 1/3 and the 4V and N residuals have closed forms; rounding
+    # the exact count to a float first read 28.4, 10.9 and 43.7 at 10^18
+    tables = sieve(3)
+    for m in (10**16, 10**18):
+        rows = residual_sweep(tables, square_ks=(), aniso_ns=(3,), aniso_ms=(m,))
+        expected = {"umkC": Fraction(1, 27), "vmkC": Fraction(19, 162),
+                    "total_anisotropic": Fraction(80, 81) * (1 + Fraction(3, m))}
+        assert {r.family: r.normalized_residual for r in rows} == {
+            family: pytest.approx(float(value), rel=1e-12) for family, value in expected.items()}

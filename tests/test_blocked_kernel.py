@@ -21,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridthresh import (
@@ -348,17 +348,27 @@ def test_linear_kernels_are_exact_past_int64():
         assert v_fast(t, 3, tiny) == blocked_v(t, 3, tiny), t
 
 
+# distinct ends of the two pairs where repeats are densest (3000 and 3827 with them)
+PINNED_END_COUNTS = {(10**6, 10**6): 1999, (10**6, 2 * 10**6): 2826}
+
+
 @given(st.integers(1, 300), st.integers(0, 10**8))
-def test_block_ends_follow_the_short_side(tables512, short, extra):
-    # every d up to min(short, isqrt(long)), then the quotients n // q <= short
+@example(10**6, 0)
+@example(10**6, 10**6)
+def test_block_ends_follow_the_short_side(short, extra):
+    # every d up to min(short, isqrt(long)), then the quotients n // q <= short,
+    # each once and ascending (extra = 0 is a square, where they repeat most)
     long = short + extra
     root = math.isqrt(long)
     expected = list(range(1, min(short, root) + 1))
     if root < short:
-        expected = sorted(expected + [n // q for n in (short, long)
-                                      for q in range(1, math.isqrt(n) + 1) if n // q <= short])
+        expected = sorted(set(expected + [n // q for n in (short, long)
+                                          for q in range(1, math.isqrt(n) + 1) if n // q <= short]))
     for ct, ck in ((short, long), (long, short)):
-        assert _blocks(ct, ck, tables512)[0].tolist() == expected
+        ends = _block_ends(ct, ck)
+        assert np.all(ends[1:] > ends[:-1])
+        assert ends.tolist() == expected
+    assert len(ends) == PINNED_END_COUNTS.get((short, long), len(ends))
 
 
 def test_blocks_of_a_skewed_pair_allocate_for_the_short_side():

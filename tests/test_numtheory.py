@@ -157,18 +157,11 @@ def test_prime_entries():
 def test_phi_psi_strictly_increasing():
     t = sieve(500)
     assert np.all(np.diff(t.Phi[1:]) > 0)
-    assert np.all(np.diff(t.psi_float[1:]) > 0)
     previous = Fraction(0)
     for k in range(1, 201):
         current = t.psi(k)
         assert current > previous
         previous = current
-
-
-def test_psi_exact_matches_float_view():
-    t = sieve(300)
-    for k in (1, 7, 64, 300):
-        assert float(t.psi(k)) == pytest.approx(t.psi_float[k], rel=1e-12)
 
 
 def test_psi_argument_range():
