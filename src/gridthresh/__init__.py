@@ -15,7 +15,6 @@ sets.  All counting is exact integer arithmetic end to end.
 from .asymptotics import (
     AsymptoticReport,
     anisotropic_coefficient,
-    anisotropic_estimate,
     leading_estimate,
     reports_to_csv,
     residual_sweep,
@@ -31,26 +30,19 @@ from .counting import (
 )
 from .errors import CapacityError
 from .geometry import (
-    Line,
     StabilityClass,
     ThresholdFn,
     classify,
     complement_fn,
-    equivalent,
-    lattice_points_on,
-    zero_set,
 )
 from .grid import GridSpec, Point
 from .numtheory import (
-    HalfInt,
     NTTables,
     QuarterInt,
     kernel_sieve_limit,
     sieve,
     u_mobius,
-    u_naive,
     uv_blocked,
-    uv_square_sequence,
     v_fast,
     v_naive,
     weighted_mertens,
@@ -69,7 +61,6 @@ from .teaching import (
     census,
     forced_points,
     min_teaching_set,
-    predict_size,
 )
 
 __version__ = "0.1.0"
@@ -82,8 +73,6 @@ __all__ = [
     "CrossValidationReport",
     "EnumerationResult",
     "GridSpec",
-    "HalfInt",
-    "Line",
     "NTTables",
     "Point",
     "QuarterInt",
@@ -91,7 +80,6 @@ __all__ = [
     "TeachingReport",
     "ThresholdFn",
     "anisotropic_coefficient",
-    "anisotropic_estimate",
     "breakdown",
     "census",
     "classify",
@@ -105,22 +93,16 @@ __all__ = [
     "dump_functions",
     "enumerate_by_lines",
     "enumerate_by_subsets",
-    "equivalent",
     "forced_points",
     "kernel_sieve_limit",
-    "lattice_points_on",
     "leading_estimate",
     "min_teaching_set",
-    "predict_size",
     "reports_to_csv",
     "residual_sweep",
     "sieve",
     "u_mobius",
-    "u_naive",
     "uv_blocked",
-    "uv_square_sequence",
     "v_fast",
     "v_naive",
     "weighted_mertens",
-    "zero_set",
 ]

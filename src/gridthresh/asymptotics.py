@@ -11,8 +11,8 @@ The exact machinery makes every residual measurable:
 
 Each sweep row reports the exact value, the leading estimate, and the
 residual normalized by the stated error scale.  The error terms carry no
-constants in theory; the constants pinned in pins.py were measured once
-and act as non-regression bounds.
+constants in theory; the tests hold constants measured once
+(tests/pins.py) and assert them as non-regression bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .counting import _total
 from .numtheory import NTTables, uv_blocked
@@ -74,11 +74,6 @@ def anisotropic_coefficient(n: int, tables: NTTables) -> Fraction:
     return 2 * ((n + 1) * tables.psi(n) - Fraction(int(tables.Phi[n])))
 
 
-def anisotropic_estimate(m: int, n: int, tables: NTTables) -> float:
-    """2((n+1) Psi(n) - Phi(n)) m^2 with the coefficient taken exactly."""
-    return float(anisotropic_coefficient(n, tables) * m * m)
-
-
 def residual_sweep(
     tables: NTTables,
     square_ks: Iterable[int] = DEFAULT_SQUARE_KS,
@@ -126,10 +121,3 @@ def reports_to_csv(reports: list[AsymptoticReport]) -> str:
                          repr(r.normalized_residual)])
     return out.getvalue()
 
-
-def max_normalized_residual(reports: list[AsymptoticReport],
-                            family: Optional[str] = None) -> float:
-    picked = [r for r in reports if family is None or r.family == family]
-    if not picked:
-        raise ValueError(f"no reports for family {family!r}")
-    return max(r.normalized_residual for r in picked)

@@ -111,11 +111,13 @@ def count_p_sequence(count: int, tables: NTTables) -> list[int]:
     return [p for _, chunk in _p_chunks(count, tables) for p in chunk.tolist()]
 
 
+# perfbench/spans.py wraps this by name (gridthresh.counting.count_unstable)
 def count_unstable(grid: GridSpec, tables: NTTables) -> int:
     """Unstable functions in F; geometric value (0) on degenerate grids."""
     return breakdown(grid, tables).unstable
 
 
+# perfbench/spans.py wraps this by name (gridthresh.counting.count_stable)
 def count_stable(grid: GridSpec, tables: NTTables) -> int:
     """Stable functions in F; geometric value (m + n) on degenerate grids."""
     return breakdown(grid, tables).stable

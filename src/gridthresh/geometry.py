@@ -1,16 +1,12 @@
-"""Exact lattice-line geometry: zero-sets, equivalence, stability.
+"""Exact lattice-line geometry: threshold functions, the candidate scan, stability.
 
-A line is stored with doubled coefficients (a2, b2, c2), standing for
-a2*x + b2*y + c2/2 <= 0.  The sign test at a lattice point is then the
-pure integer comparison 2*(a2*x + b2*y) + c2 <= 0: an odd c2 encodes a
-half-step offset whose line misses every lattice point, so no epsilon or
-floating point reasoning appears anywhere.
-
-A threshold function is a dichotomy of the grid realizable this way; it
-is stored as a bit-set of its zeros.  A function is *stable* when some
-defining line passes through at least two lattice points; otherwise it is
-*unstable* and all its defining pointed lines share a single lattice
-point, the vertex.
+A threshold function is a dichotomy of the grid that a line realizes,
+zeros on its closed side and ones strictly on its open side; it is
+stored as a bit-set of its zeros.  All tests here are integer
+comparisons on lattice points, with no floating point anywhere.  A
+function is *stable* when some defining line passes through at least
+two lattice points; otherwise it is *unstable* and all its defining
+pointed lines share a single lattice point, the vertex.
 
 The candidate family comes from the lines through two lattice points
 (Koplowitz, Lindenbaum & Bruckstein, IEEE Trans. Inf. Theory 36, 1990;
@@ -69,52 +65,6 @@ from .grid import GridSpec, Point
 
 
 @dataclass(frozen=True)
-class Line:
-    """Oriented line a2*x + b2*y + c2/2 <= 0 with integer coefficients.
-
-    Orientation is significant: negating all three coefficients exchanges
-    the open and closed sides.  (a2, b2) must not be (0, 0).
-    """
-
-    a2: int
-    b2: int
-    c2: int
-
-    def __post_init__(self) -> None:
-        if self.a2 == 0 and self.b2 == 0:
-            raise ValueError("line normal must be non-zero")
-
-    def eval2(self, x: int, y: int) -> int:
-        """Twice the affine form at (x, y); zero iff the point lies on the line."""
-        return 2 * (self.a2 * x + self.b2 * y) + self.c2
-
-    def canonical(self) -> "Line":
-        """Divide out any common positive factor (orientation preserved).
-
-        Only a factor shared by all three coefficients can be removed
-        without moving the line, since c2 carries the half-step parity.
-        """
-        g = math.gcd(self.a2, self.b2, self.c2)
-        if g > 1:
-            return Line(self.a2 // g, self.b2 // g, self.c2 // g)
-        return self
-
-    def flipped(self) -> "Line":
-        """The same carrier line with the opposite orientation."""
-        return Line(-self.a2, -self.b2, -self.c2)
-
-    @classmethod
-    def through(cls, p: Point, q: Point) -> "Line":
-        """The line through two distinct lattice points, primitive normal."""
-        if p == q:
-            raise ValueError("two distinct points required")
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        g = math.gcd(abs(dx), abs(dy))
-        a, b = dy // g, -dx // g
-        return cls(a, b, -2 * (a * p[0] + b * p[1]))
-
-
-@dataclass(frozen=True)
 class ThresholdFn:
     """A grid dichotomy stored as a bit-set of its zeros.
 
@@ -134,18 +84,9 @@ class ThresholdFn:
     def value_at(self, x: int, y: int) -> int:
         return 0 if (self.zeros >> self.grid.bit_index(x, y)) & 1 else 1
 
-    def zero_points(self) -> list[Point]:
-        return [self.grid.point_at(i) for i in range(self.grid.point_count)
-                if (self.zeros >> i) & 1]
-
     @property
     def is_constant(self) -> bool:
         return self.zeros == 0 or self.zeros == (1 << self.grid.point_count) - 1
-
-    @property
-    def in_f_class(self) -> bool:
-        """Member of F: f(0, 0) = 0 and f is not the constant zero."""
-        return bool(self.zeros & 1) and self.zeros != (1 << self.grid.point_count) - 1
 
     def render(self) -> str:
         """ASCII grid of function values, rows top to bottom."""
@@ -170,27 +111,6 @@ class StabilityClass:
     @property
     def is_stable(self) -> bool:
         return self.kind == "stable"
-
-
-def zero_set(line: Line, grid: GridSpec) -> int:
-    """Bit-set of M(line) = lattice points with a*x + b*y + c <= 0."""
-    mask = 0
-    for i, (x, y) in enumerate(grid.points()):
-        if line.eval2(x, y) <= 0:
-            mask |= 1 << i
-    return mask
-
-
-def equivalent(l1: Line, l2: Line, grid: GridSpec) -> bool:
-    """True iff the two lines define the same threshold function on the grid."""
-    return zero_set(l1, grid) == zero_set(l2, grid)
-
-
-def lattice_points_on(line: Line, grid: GridSpec) -> list[Point]:
-    """Grid points exactly on the line, sorted lexicographically; none if c2 is odd."""
-    pts = [(x, y) for x, y in grid.points() if line.eval2(x, y) == 0]
-    pts.sort()
-    return pts
 
 
 def complement_fn(f: ThresholdFn) -> ThresholdFn:

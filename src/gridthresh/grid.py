@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 Point = tuple[int, int]
@@ -21,8 +22,13 @@ class GridSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise ValueError(f"grid extents must be non-negative, got ({self.m}, {self.n})")
+        # sides are stored as Python ints: TypeError for a float, and a
+        # numpy integer cannot overflow in the exact arithmetic downstream
+        m, n = operator.index(self.m), operator.index(self.n)
+        if m < 0 or n < 0:
+            raise ValueError(f"grid extents must be non-negative, got ({m}, {n})")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def point_count(self) -> int:
@@ -41,7 +47,3 @@ class GridSpec:
         if not (0 <= x <= self.m and 0 <= y <= self.n):
             raise ValueError(f"({x}, {y}) outside grid ({self.m}, {self.n})")
         return y * (self.m + 1) + x
-
-    def point_at(self, index: int) -> Point:
-        w = self.m + 1
-        return (index % w, index // w)

@@ -12,15 +12,20 @@ Provides the arithmetic backbone for the counting formulas:
                 of (t + 1 - i)(k + 1 - j)
     U(j, j), 4V(j, j) for j = 0..n    (the square sequence, one pass over phi)
 
-V is defined for half-integer arguments.  Half-integers are carried as
-doubled integers (HalfInt) and V is returned as a quadrupled integer
-(QuarterInt): the counting formulas only ever consume 2V, 4V and 8V, so
-every public count stays an exact integer and no rational type leaks out.
+V is defined for half-integer arguments, given as an int (or any
+integer that operator.index accepts) or a Fraction with denominator 1 or
+2.  The kernels double them into integers and return V as a quadrupled
+integer (QuarterInt): the counting formulas only ever consume 2V, 4V and
+8V, so every public count stays an exact integer and no rational type
+leaks out.
 
 Each quantity has a naive evaluation straight from its definition, a
-linear Moebius evaluation, and a blocked one.  The naive and linear forms
-are the oracles (u_naive reads U up to 1024 from one table of gcd counts,
-built once); the blocked forms are what production counting uses:
+linear Moebius evaluation, and a blocked one; the blocked forms are what
+production counting uses.  v_naive, u_mobius and v_fast stay here,
+although only the tests and the benchmark call them, because the
+benchmark imports or wraps them by name (perfbench/reference.py,
+perfbench/spans.py); u_naive, the definitional U, lives with the other
+judges in tests/judges.py.  The forms are
 
     U(t, k) = sum_s mu(s) * floor(t/s) * floor(k/s)
     V(t, k) = sum_d mu(d) * A(t, d) * A(k, d),
@@ -70,13 +75,14 @@ increments, plus the Python-int totals of the chunk before, on arrays
 whose dtype each follows a proven bound (int64 for every term up to
 n = 24 897, Python ints only for the quantities that need them past it),
 so no step loops over terms in Python.  The CLI prints its chunks as they
-come; uv_square_sequence and counting.count_p_sequence flatten them.
+come; counting.count_p_sequence flattens them.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,7 +92,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-HalfIntLike = Union[int, Fraction, "HalfInt"]
+HalfIntLike = Union[int, Fraction]
 
 # The blocked kernel sieves to about KERNEL_SIEVE_C * K^(2/3) (see
 # kernel_sieve_limit).  On count requests with sides 10^5..10^6, 6, 8, 12
@@ -124,48 +130,6 @@ _RESIDUE_PRIMES = (4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4
 _CRT_MODULI = tuple(_WRAP * math.prod(_RESIDUE_PRIMES[:c])
                     for c in range(len(_RESIDUE_PRIMES) + 1))
 _HALF_MODULI = tuple(modulus // 2 for modulus in _CRT_MODULI)
-
-
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """A number of the form doubled/2, exact.
-
-    Used for the half-integer arguments (m-1)/2, (n-1)/2 of V.  Values down
-    to -1 (doubled = -2) are accepted because they arise from degenerate
-    grids and make V an empty sum.
-    """
-
-    doubled: int
-
-    @classmethod
-    def coerce(cls, x: HalfIntLike) -> "HalfInt":
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, int):
-            return cls(2 * x)
-        if isinstance(x, Fraction):
-            twice = 2 * x
-            if twice.denominator != 1:
-                raise ValueError(f"{x} is not an integer or half-integer")
-            return cls(int(twice))
-        raise TypeError(f"cannot interpret {x!r} as a half-integer")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    @property
-    def ceil(self) -> int:
-        return -((-self.doubled) // 2)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def __repr__(self) -> str:
-        if self.is_integer:
-            return f"HalfInt({self.doubled // 2})"
-        return f"HalfInt({self.doubled}/2)"
 
 
 @dataclass(frozen=True, order=True)
@@ -340,55 +304,12 @@ def _phi_table(n: int) -> np.ndarray:
     return _read_only(phi)
 
 
-# u_naive reads U(p, q) for p, q <= this side from a table of gcd counts:
-# (side + 1)^2 int64 counts, 8.4 MB, built once in about 90 ms (2 shared
-# vCPUs); a judge's 90 601 calls over p, q <= 300 then take about 0.1 s
-_U_TABLE_SIDE = 1024
-_u_table_lock = threading.Lock()
-_u_table: list[np.ndarray] = []  # the table, once built
-
-
-def _coprime_counts() -> np.ndarray:
-    """U(p, q) for 0 <= p, q <= _U_TABLE_SIDE: 2-D prefix sums of gcd(i, j) == 1."""
-    if not _u_table:
-        with _u_table_lock:
-            if not _u_table:
-                a = np.arange(1, _U_TABLE_SIDE + 1, dtype=np.int64)
-                counts = np.zeros((_U_TABLE_SIDE + 1,) * 2, dtype=np.int64)
-                counts[1:, 1:] = (np.gcd.outer(a, a) == 1).cumsum(axis=0).cumsum(axis=1)
-                _u_table.append(_read_only(counts))
-    return _u_table[0]
-
-
-def u_naive(p: int, q: int) -> int:
-    """U(p, q) by the definition: count gcd(i, j) = 1 over [1,p] x [1,q].
-
-    Empty ranges give 0.  Up to _U_TABLE_SIDE on both sides the count is
-    read from prefix sums of the gcd == 1 matrix, built once under a lock;
-    past it, quadratic work, vectorised.  No Moebius function is involved,
-    so it stays the independent oracle for u_mobius.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("U is defined for non-negative arguments")
-    if p == 0 or q == 0:
-        return 0
-    if max(p, q) <= _U_TABLE_SIDE:
-        return int(_coprime_counts()[p, q])
-    b = np.arange(1, q + 1, dtype=np.int64)
-    total = 0
-    # chunk rows to bound the gcd matrix at ~4e6 entries
-    step = max(1, 4_000_000 // q)
-    for lo in range(1, p + 1, step):
-        a = np.arange(lo, min(lo + step, p + 1), dtype=np.int64)
-        total += int(np.count_nonzero(np.gcd.outer(a, b) == 1))
-    return total
-
-
+# perfbench/spans.py wraps this by name (gridthresh.cli.u_mobius, gridthresh.counting.u_mobius)
 def u_mobius(t: int, k: int, tables: NTTables) -> int:
     """U(t, k) via Moebius inversion: sum_s mu(s) floor(t/s) floor(k/s).
 
-    Linear in min(t, k); equals u_naive exactly.  Each term is within t*k,
-    so int64 sums it while min(t, k) t k < 2^62.
+    Linear in min(t, k); equals the definitional count exactly.  Each
+    term is within t*k, so int64 sums it while min(t, k) t k < 2^62.
     """
     if t < 0 or k < 0:
         raise ValueError("U is defined for non-negative arguments")
@@ -401,15 +322,25 @@ def u_mobius(t: int, k: int, tables: NTTables) -> int:
     return _dot(t // s, (k // s) * tables.mu[1 : s_max + 1], s_max * t * k)
 
 
+def _doubled(x: HalfIntLike) -> int:
+    """2x for an integer that operator.index accepts or a half-integer Fraction."""
+    if not isinstance(x, Fraction):
+        return 2 * operator.index(x)  # TypeError for a float
+    if x.denominator > 2:
+        raise ValueError(f"{x} is not an integer or half-integer")
+    return 2 * x.numerator // x.denominator
+
+
 def _v_prepare(t: HalfIntLike, k: HalfIntLike) -> tuple[int, int, int, int]:
-    # doubled arguments and their ceilings; ints skip building a HalfInt
-    T = 2 * t if type(t) is int else HalfInt.coerce(t).doubled
-    K = 2 * k if type(k) is int else HalfInt.coerce(k).doubled
+    # doubled arguments and their ceilings; plain ints skip the check
+    T = 2 * t if type(t) is int else _doubled(t)
+    K = 2 * k if type(k) is int else _doubled(k)
     if T < -2 or K < -2:
         raise ValueError(f"V arguments must be >= -1, got ({Fraction(T, 2)}, {Fraction(K, 2)})")
     return T, K, -(-T // 2), -(-K // 2)
 
 
+# perfbench/reference.py imports this by name, as the reference of `oracle` requests
 def v_naive(t: HalfIntLike, k: HalfIntLike) -> QuarterInt:
     """V(t, k) straight from the definition, in quadrupled units.
 
@@ -433,6 +364,7 @@ def v_naive(t: HalfIntLike, k: HalfIntLike) -> QuarterInt:
     return QuarterInt(total)
 
 
+# perfbench/spans.py wraps this by name (gridthresh.counting.v_fast)
 def v_fast(t: HalfIntLike, k: HalfIntLike, tables: NTTables) -> QuarterInt:
     """V(t, k) via Moebius inversion, linear in ceil(min(t, k)).
 
@@ -460,21 +392,6 @@ def _doubled_a(T: int, c: int, d: np.ndarray) -> np.ndarray:
     d = _as_exact(d, c * (T + 2))
     q = c // d
     return q * ((T + 2) - d * (q + 1))
-
-
-def uv_square_sequence(n: int, tables: NTTables) -> tuple[list[int], list[int]]:
-    """U(j, j) and 4V(j, j) for j = 0..n, in one pass over phi.
-
-    Summed in chunks by _square_chunks, in int64 where a proven bound
-    allows it and in Python ints past it, so exact for every n.  Equals
-    u_mobius(j, j, tables) and v_fast(j, j, tables).quadrupled.
-    """
-    u: list[int] = []
-    four_v: list[int] = []
-    for _, c, v in _square_chunks(n, tables):
-        u += c.tolist()
-        four_v += v.tolist()
-    return u, four_v
 
 
 def _square_chunks(n: int, tables: NTTables, four_v: bool = True
@@ -547,6 +464,7 @@ def kernel_sieve_limit(t: int, k: int) -> int:
     long side and stops at the short one.  For a square of side D up to
     512 it is D itself.
     """
+    t, k = operator.index(t), operator.index(k)  # a numpy integer would overflow below
     short, long = max(1, min(t, k)), max(1, t, k)
     target = KERNEL_SIEVE_C**3 * long * long
     root = round(target ** (1 / 3))  # integer cube root of target, rounded up

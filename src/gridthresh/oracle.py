@@ -187,6 +187,7 @@ def _clip(polygon: list[Vertex], y: int, x: int, left: bool) -> list[Vertex]:
     return clipped
 
 
+# perfbench/spans.py wraps this by name (gridthresh.oracle.is_separable)
 def is_separable(zeros: list[Point], ones: list[Point]) -> bool:
     """Can some line put ``zeros`` on its closed side and ``ones`` strictly
     on the open side?  Empty sides are trivially separable.

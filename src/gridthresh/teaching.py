@@ -256,18 +256,6 @@ def forced_points(f: ThresholdFn, universe: EnumerationResult) -> tuple[Point, .
     return tuple(points[j] for j in _forced(f.zeros, bits, universe.masks))
 
 
-def predict_size(f: ThresholdFn, universe: EnumerationResult) -> int:
-    """The 3-or-4 rule: 3 iff f or its point-reflected complement is unstable.
-
-    On a degenerate grid (m == 0 or n == 0) the prediction is 2: the two
-    points straddling the cut of the anchored run.
-    """
-    if f.is_constant:
-        raise ValueError("the size rule does not apply to constant functions")
-    _check_member(f, universe)
-    return _predict(f.grid, f.zeros, universe.scan)
-
-
 def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> CensusResult:
     """The minimum teaching set and the rule's size of every threshold
     function of the grid.

@@ -10,13 +10,13 @@ asymptotic bounds are the pinned constants measured at first run.
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gridthresh import (
     GridSpec,
-    HalfInt,
     count_p,
     count_stable,
     count_total,
@@ -25,15 +25,15 @@ from gridthresh import (
     enumerate_by_subsets,
     sieve,
     u_mobius,
-    u_naive,
     v_fast,
     v_naive,
 )
-from gridthresh.asymptotics import max_normalized_residual, residual_sweep
-from gridthresh.pins import NORM_RESIDUAL_PINS, TOTAL_RATIO_DEV_AT_4096
+from gridthresh.asymptotics import residual_sweep
 from gridthresh.teaching import census
 
 from conftest import RANDOM_SEED
+from judges import u_naive
+from pins import NORM_RESIDUAL_PINS, TOTAL_RATIO_DEV_AT_4096
 
 SWEEP_LIMIT = 10_000
 
@@ -123,7 +123,7 @@ def test_criterion_04_vprop_identity_suite(tables2k):
         # (1): V(t, k-1) + V(t, k) == 2 V(t, k - 1/2)
         q1 = v_fast(t, k - 1, tables2k).quadrupled
         q2 = v_fast(t, k, tables2k).quadrupled
-        qh = v_fast(t, HalfInt(2 * k - 1), tables2k).quadrupled
+        qh = v_fast(t, Fraction(2 * k - 1, 2), tables2k).quadrupled
         if q1 + q2 != 2 * qh:
             failures.append(("Vprop1", t, k))
         # (4): U(t, k) as the second difference of V
@@ -137,7 +137,7 @@ def test_criterion_04_vprop_identity_suite(tables2k):
         # (5): U(t,k) + 2(V(t,k-1) + V(t-1,k)) == 4 V(t-1/2, k-1/2)
         qa = v_fast(t, k - 1, tables2k).quadrupled
         qb = v_fast(t - 1, k, tables2k).quadrupled
-        qc = v_fast(HalfInt(2 * t - 1), HalfInt(2 * k - 1), tables2k).quadrupled
+        qc = v_fast(Fraction(2 * t - 1, 2), Fraction(2 * k - 1, 2), tables2k).quadrupled
         if 4 * u + 2 * (qa + qb) != 4 * qc:
             failures.append(("Vprop5", t, k))
 
@@ -198,18 +198,18 @@ def test_criterion_05_mobius_equivalences():
 
     for dt in range(0, 2 * bound + 1):
         for dk in range(0, 2 * bound + 1):
-            if v_fast(HalfInt(dt), HalfInt(dk), tables).quadrupled != int(v4[dt, dk]):
+            if v_fast(Fraction(dt, 2), Fraction(dk, 2), tables).quadrupled != int(v4[dt, dk]):
                 failures.append(("V fast", dt, dk))
 
     # v_naive against the same oracle: exhaustive small, seeded large
     for dt in range(0, 81):
         for dk in range(0, 81):
-            if v_naive(HalfInt(dt), HalfInt(dk)).quadrupled != int(v4[dt, dk]):
+            if v_naive(Fraction(dt, 2), Fraction(dk, 2)).quadrupled != int(v4[dt, dk]):
                 failures.append(("V naive small", dt, dk))
     rng = random.Random(RANDOM_SEED)
     for _ in range(2000):
         dt, dk = rng.randint(0, 2 * bound), rng.randint(0, 2 * bound)
-        if v_naive(HalfInt(dt), HalfInt(dk)).quadrupled != int(v4[dt, dk]):
+        if v_naive(Fraction(dt, 2), Fraction(dk, 2)).quadrupled != int(v4[dt, dk]):
             failures.append(("V naive large", dt, dk))
 
     _verdict(5, "u_mobius == u_naive for all t,k <= 300; v_fast == v_naive on all "
@@ -242,11 +242,11 @@ def test_criterion_07_asymptotic_bounds():
         failures.append("no convergence between k = 64 and k = 4096")
     rows = residual_sweep(tables)
     for family, pin in NORM_RESIDUAL_PINS.items():
-        worst = max_normalized_residual(rows, family)
+        worst = max(r.normalized_residual for r in rows if r.family == family)
         if worst > pin:
             failures.append((family, worst, pin))
     # full-range sanity pins, every k in [16, 4096]
-    from gridthresh.pins import PHI_DIRICHLET_PIN, PSI_DIRICHLET_PIN, U_SQUARE_SANITY_PIN
+    from pins import PHI_DIRICHLET_PIN, PSI_DIRICHLET_PIN, U_SQUARE_SANITY_PIN
 
     for k in range(16, 4097):
         u = u_mobius(k, k, tables)

@@ -8,15 +8,14 @@ import pytest
 from gridthresh import (
     GridSpec,
     anisotropic_coefficient,
-    anisotropic_estimate,
     count_total,
     leading_estimate,
     reports_to_csv,
     residual_sweep,
     sieve,
 )
-from gridthresh.asymptotics import max_normalized_residual
-from gridthresh.pins import (
+
+from pins import (
     NORM_RESIDUAL_PINS,
     PHI_DIRICHLET_PIN,
     PSI_DIRICHLET_PIN,
@@ -40,8 +39,8 @@ def test_anisotropic_estimate_n1_residual_is_linear(tables512):
     for m in (10, 100, 500):
         exact = count_total(GridSpec(m, 1), tables512)
         assert exact == 2 * m * m + 8 * m + 4
-        est = anisotropic_estimate(m, 1, tables512)
-        assert exact - est == pytest.approx(8 * m + 4)
+        est = anisotropic_coefficient(1, tables512) * m * m
+        assert exact - est == 8 * m + 4
 
 
 def test_anisotropic_requires_sieve(tables512):
@@ -61,7 +60,8 @@ def test_sweep_families_and_pins(tables4096):
     families = {r.family for r in rows}
     assert families == {"umk", "vmk", "total_leading", "umkC", "vmkC", "total_anisotropic"}
     for family in families:
-        assert max_normalized_residual(rows, family) <= NORM_RESIDUAL_PINS[family], family
+        worst = max(r.normalized_residual for r in rows if r.family == family)
+        assert worst <= NORM_RESIDUAL_PINS[family], family
 
 
 def test_sweep_converges_toward_the_estimates(tables4096):
@@ -76,7 +76,7 @@ def test_estimates_agree_in_regime_overlap(tables4096):
     # at m = n the anisotropic and leading estimates approach each other
     deviations = []
     for k in (16, 512):
-        ratio = anisotropic_estimate(k, k, tables4096) / leading_estimate(k, k)
+        ratio = anisotropic_coefficient(k, tables4096) * k * k / leading_estimate(k, k)
         deviations.append(abs(ratio - 1))
     assert deviations[-1] < deviations[0]
     assert deviations[-1] < 0.01

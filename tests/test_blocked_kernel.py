@@ -6,7 +6,8 @@ M_j(x) = sum_{d<=x} d^j mu(d), recorded at the block ends alone: by one
 pass over mu within the sieve, by a batched recursion above it.
 blocked_u and blocked_v below are its two halves.
 Most checks here compare them with an evaluation that shares none of
-that machinery: gcd tables straight from the definition, u_naive/v_naive,
+that machinery: gcd tables straight from the definition, u_naive (in
+judges.py) and v_naive,
 and the linear kernels u_mobius/v_fast.  The block sums themselves run in
 uint64 residues joined by CRT; their judge is the earlier Python-int
 block sum over the same blocks, kept below as
@@ -18,6 +19,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from hypothesis import strategies as st
 
 from gridthresh import (
     GridSpec,
-    HalfInt,
     QuarterInt,
     breakdown,
     count_p,
@@ -34,7 +35,6 @@ from gridthresh import (
     kernel_sieve_limit,
     sieve,
     u_mobius,
-    u_naive,
     uv_blocked,
     v_fast,
     v_naive,
@@ -59,6 +59,7 @@ from gridthresh.numtheory import (
 )
 
 from conftest import RANDOM_SEED
+from judges import u_naive
 
 SMALL_DOUBLED = 400  # doubled arguments -2..400, ceilings up to 200
 
@@ -108,17 +109,17 @@ def test_blocked_kernels_equal_every_small_doubled_pair():
     doubled = range(-2, SMALL_DOUBLED + 1)
     for T in doubled:
         row = v_table[T + 2]
-        got = [blocked_v(HalfInt(T), HalfInt(K), tables).quadrupled for K in doubled]
+        got = [blocked_v(Fraction(T, 2), Fraction(K, 2), tables).quadrupled for K in doubled]
         assert got == row.tolist(), T
     for t in range(top + 1):
         assert [blocked_u(t, k, tables) for k in range(top + 1)] == u_table[t].tolist(), t
     # the linear kernels on a stride, the naive ones on a coarser one
     for T in range(-2, SMALL_DOUBLED + 1, 13):
         for K in range(-2, SMALL_DOUBLED + 1, 11):
-            assert blocked_v(HalfInt(T), HalfInt(K), tables) == v_fast(HalfInt(T), HalfInt(K), tables)
+            assert blocked_v(Fraction(T, 2), Fraction(K, 2), tables) == v_fast(Fraction(T, 2), Fraction(K, 2), tables)
     for T in range(-2, SMALL_DOUBLED + 1, 37):
         for K in range(-1, SMALL_DOUBLED + 1, 41):
-            assert blocked_v(HalfInt(T), HalfInt(K), tables) == v_naive(HalfInt(T), HalfInt(K))
+            assert blocked_v(Fraction(T, 2), Fraction(K, 2), tables) == v_naive(Fraction(T, 2), Fraction(K, 2))
     for t in range(0, top + 1, 3):
         for k in range(0, top + 1, 5):
             assert blocked_u(t, k, tables) == u_mobius(t, k, tables)
@@ -182,13 +183,13 @@ def test_mertens_pass_refuses_a_point_whose_terms_leave_int64():
         _mertens_pass(np.ones(4, dtype=np.int8), np.array([1, 2**31], dtype=np.int64))
 
 
-def _random_pairs(rng: random.Random, count: int) -> list[tuple[HalfInt, HalfInt]]:
+def _random_pairs(rng: random.Random, count: int) -> list[tuple[Fraction, Fraction]]:
     pairs = []
     for _ in range(count):
         aspect = rng.uniform(1, 8)
         short = int(math.exp(rng.uniform(math.log(10**5), math.log(2 * 10**7 / aspect))))
         long = min(2 * 10**7, int(short * aspect))
-        pair = [HalfInt(short), HalfInt(long)]  # doubled: odd values are half-integers
+        pair = [Fraction(short, 2), Fraction(long, 2)]  # doubled: odd values are half-integers
         rng.shuffle(pair)
         pairs.append((pair[0], pair[1]))
     return pairs
@@ -196,12 +197,12 @@ def _random_pairs(rng: random.Random, count: int) -> list[tuple[HalfInt, HalfInt
 
 def test_blocked_kernels_through_the_recursion(tables10m):
     rng = random.Random(RANDOM_SEED)
-    for t, k in _random_pairs(rng, 10) + [(HalfInt(2 * 10**7), HalfInt(2 * 10**7 - 1))]:
-        at_limit = sieve(kernel_sieve_limit(t.ceil, k.ceil))
-        assert at_limit.limit < min(t.ceil, k.ceil)
+    for t, k in _random_pairs(rng, 10) + [(Fraction(2 * 10**7, 2), Fraction(2 * 10**7 - 1, 2))]:
+        at_limit = sieve(kernel_sieve_limit(math.ceil(t), math.ceil(k)))
+        assert at_limit.limit < min(math.ceil(t), math.ceil(k))
         assert blocked_v(t, k, at_limit) == v_fast(t, k, tables10m), (t, k)
-        if t.is_integer and k.is_integer:
-            u_args = (t.doubled // 2, k.doubled // 2)
+        if t.denominator == 1 and k.denominator == 1:
+            u_args = (t.numerator, k.numerator)
             assert blocked_u(*u_args, at_limit) == u_mobius(*u_args, tables10m), (t, k)
 
 
@@ -220,7 +221,7 @@ def test_blocked_kernels_full_sieve_equals_limit_sieve():
     for _ in range(40):
         T, K = rng.randrange(1100, 40_001), rng.randrange(1100, 40_001)
         at_limit = sieve(kernel_sieve_limit((T + 1) // 2, (K + 1) // 2))
-        assert blocked_v(HalfInt(T), HalfInt(K), at_limit) == blocked_v(HalfInt(T), HalfInt(K), full)
+        assert blocked_v(Fraction(T, 2), Fraction(K, 2), at_limit) == blocked_v(Fraction(T, 2), Fraction(K, 2), full)
         m, n = T // 2, K // 2
         assert breakdown(GridSpec(m, n), sieve(kernel_sieve_limit(m, n))) == breakdown(GridSpec(m, n), full)
 
@@ -232,7 +233,7 @@ def test_blocked_kernels_share_one_tables_across_threads():
 
     def calls(tables) -> list:
         return [blocked_v(t, k, tables), blocked_u(t, k, tables),
-                blocked_v(HalfInt(t - 1), HalfInt(k - 1), tables),
+                blocked_v(Fraction(t - 1, 2), Fraction(k - 1, 2), tables),
                 *(weighted_mertens(x, tables) for x in past_limit)]
 
     expected = calls(sieve(limit))  # serially, on one tables
@@ -276,17 +277,34 @@ def test_kernel_sieve_limit_rule():
             assert limit == min(t, k)
 
 
+def test_kernel_takes_numpy_integer_arguments():
+    tables = sieve(10)
+    assert uv_blocked(np.int64(5), 3, tables) == uv_blocked(5, 3, tables)
+    assert uv_blocked(np.int32(7), Fraction(9, 2), tables) == uv_blocked(7, Fraction(9, 2), tables)
+    with pytest.raises(TypeError):
+        uv_blocked(5.0, 3, tables)
+
+
+def test_kernel_sieve_limit_of_numpy_integers_equals_the_int_one():
+    # K^2 = 9 * 10^18 would overflow int64 on the way to the cube root
+    side = 3 * 10**9
+    assert kernel_sieve_limit(side, side) == 16640671
+    assert kernel_sieve_limit(np.int64(side), np.int64(side)) == 16640671
+    with pytest.raises(TypeError):
+        kernel_sieve_limit(10.0, 10)
+
+
 def test_blocked_kernels_reject_bad_input():
     tables = sieve(10)
     assert uv_blocked(-1, 5, tables) == (0, QuarterInt(0))
     with pytest.raises(ValueError):
-        blocked_v(HalfInt(-3), 5, tables)
+        blocked_v(Fraction(-3, 2), 5, tables)
     with pytest.raises(ValueError):
         blocked_u(100, 100, tables)
     with pytest.raises(ValueError):
         blocked_v(100, 100, tables)
     assert blocked_u(0, 10**12, tables) == 0
-    assert blocked_v(HalfInt(-1), 10**12, tables).quadrupled == 0
+    assert blocked_v(Fraction(-1, 2), 10**12, tables).quadrupled == 0
 
 
 def test_kernel_refuses_a_side_past_int64(monkeypatch):
@@ -299,7 +317,7 @@ def test_kernel_refuses_a_side_past_int64(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(numtheory, "_blocks", recording)
-    for side in (10**19, HalfInt(2 * 10**19 - 1)):
+    for side in (10**19, Fraction(2 * 10**19 - 1, 2)):
         for args in ((side, 3), (3, side)):
             with pytest.raises(CapacityError):
                 uv_blocked(*args, tiny)
@@ -307,7 +325,7 @@ def test_kernel_refuses_a_side_past_int64(monkeypatch):
     # the largest int64 side still runs: its first quotient plus one is 2^63
     side = 2**63 - 1
     assert uv_blocked(side, 3, tiny) == (u_mobius(side, 3, tiny), v_fast(side, 3, tiny))
-    half = HalfInt(2 * side - 1)
+    half = Fraction(2 * side - 1, 2)
     assert uv_blocked(half, 3, tiny) == (u_mobius(side, 3, tiny), v_fast(half, 3, tiny))
 
 
@@ -317,7 +335,7 @@ def test_u_at_half_integer_arguments_is_u_at_the_ceilings():
     for T in range(-2, 81):
         for K in range(-2, 81):
             ct, ck = max(0, -(-T // 2)), max(0, -(-K // 2))
-            assert uv_blocked(HalfInt(T), HalfInt(K), tables)[0] == u_at[ct][ck], (T, K)
+            assert uv_blocked(Fraction(T, 2), Fraction(K, 2), tables)[0] == u_at[ct][ck], (T, K)
 
 
 @given(st.lists(st.tuples(st.integers(-(2**62), 2**62), st.integers(-(2**62), 2**62)),
@@ -591,7 +609,7 @@ def residue_passes(monkeypatch):
 
 
 def _assert_kernels_equal_judge(T: int, K: int, tables) -> None:
-    t, k = HalfInt(T), HalfInt(K)
+    t, k = Fraction(T, 2), Fraction(K, 2)
     assert blocked_v(t, k, tables) == v_by_python_ints(t, k, tables), (T, K)
     if T % 2 == 0 and K % 2 == 0 and min(T, K) >= 0:
         u_args = (T // 2, K // 2)

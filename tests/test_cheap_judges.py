@@ -1,6 +1,6 @@
 """The judges' fast paths against the sums they shortcut.
 
-Up to _U_TABLE_SIDE on both sides u_naive reads U(p, q) from prefix sums
+Up to _U_TABLE_SIDE on both sides u_naive (judges.py) reads U(p, q) from prefix sums
 of the gcd == 1 matrix; its judge is the chunked count it used before,
 kept below as u_by_gcd_rows.  u_mobius and v_fast sum in int64 when a
 bound from their arguments proves that exact; at both sides of that bound
@@ -11,13 +11,15 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 
-from gridthresh import HalfInt, numtheory, sieve, u_mobius, u_naive, v_fast
-from gridthresh.numtheory import _U_TABLE_SIDE, _coprime_counts
+from gridthresh import sieve, u_mobius, v_fast
 
+import judges
 from conftest import RANDOM_SEED
+from judges import _U_TABLE_SIDE, _coprime_counts, u_naive
 
 
 def u_by_gcd_rows(p: int, q: int) -> int:
@@ -56,7 +58,7 @@ def test_pairs_straddling_the_table_equal_the_gcd_count():
 
 def test_table_is_built_once_under_its_lock(monkeypatch):
     built = []
-    monkeypatch.setattr(numtheory, "_u_table", built)  # as if never built
+    monkeypatch.setattr(judges, "_u_table", built)  # as if never built
     seen = []
     workers = [threading.Thread(target=lambda: seen.append(_coprime_counts()))
                for _ in range(4)]
@@ -103,4 +105,4 @@ def test_linear_judges_equal_python_ints_across_their_int64_bound():
         for ck in (edge, edge + 1, math.isqrt(2**61) - 1):
             expected = sum(mu[d] * doubled_a(T, d) * doubled_a(2 * ck, d)
                            for d in range(1, ct + 1))
-            assert v_fast(HalfInt(T), ck, tables).quadrupled == expected, (T, ck)
+            assert v_fast(Fraction(T, 2), ck, tables).quadrupled == expected, (T, ck)

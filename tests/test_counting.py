@@ -6,7 +6,9 @@ oracle and frozen here; the oracle-equivalence tests recompute them live.
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,16 +26,14 @@ from gridthresh import (
     kernel_sieve_limit,
     sieve,
     u_mobius,
-    u_naive,
     uv_blocked,
-    uv_square_sequence,
     v_fast,
     v_naive,
 )
 from gridthresh import numtheory, residual_sweep
-from gridthresh.numtheory import HalfInt
 
 from conftest import RANDOM_SEED
+from judges import u_naive, uv_square_sequence
 
 TABLES = sieve(256)
 
@@ -161,7 +161,7 @@ def breakdown_from_naive_kernels(m: int, n: int) -> tuple[int, int, int, int]:
         stable, unstable = m + n, 0
     else:
         u = u_naive(m, n)
-        eight_v_half = 2 * v_naive(HalfInt(m - 1), HalfInt(n - 1)).quadrupled
+        eight_v_half = 2 * v_naive(Fraction(m - 1, 2), Fraction(n - 1, 2)).quadrupled
         stable = m + n + u + four_v // 2 - eight_v_half
         unstable = 2 * m * n - u + eight_v_half
     return stable, unstable, stable + unstable, total
@@ -175,6 +175,28 @@ def test_breakdown_equals_naive_assembly(m, n):
     t = breakdown(GridSpec(n, m), TABLES)
     assert (t.stable, t.unstable, t.f_class, t.total) == fields
     assert b.total == 2 * (b.f_class + 1)
+
+
+def test_breakdown_of_numpy_integer_sides_equals_the_int_one():
+    # GridSpec stores its sides through operator.index, so 2m n and the
+    # kernel's bounds are Python ints and cannot overflow int64
+    tables = sieve(kernel_sieve_limit(10**6, 10**6))
+    side = np.int64(10**6)
+    assert type(GridSpec(side, np.int32(3)).m) is int
+    assert breakdown(GridSpec(side, side), tables) == breakdown(GridSpec(10**6, 10**6), tables)
+
+
+def test_counts_take_numpy_integer_sides():
+    tables = sieve(1000)
+    assert count_total(GridSpec(np.int64(5), 3), tables) == count_total(GridSpec(5, 3), tables)
+    assert count_p(np.int64(1001), tables) == count_p(1001, tables)
+    assert count_stable(GridSpec(7, np.uint16(4)), tables) == count_stable(GridSpec(7, 4), tables)
+
+
+def test_float_sides_are_refused_at_construction():
+    for m, n in ((2.0, 3), (2, 3.0), (1.5, 1)):
+        with pytest.raises(TypeError):
+            GridSpec(m, n)
 
 
 def test_counting_builds_no_totient_table():
@@ -242,7 +264,7 @@ def breakdown_by_two_kernel_calls(grid: GridSpec, tables) -> CountBreakdown:
     total = (2 * m + 1) * (2 * n + 1) + 1 + four_v.quadrupled
     unstable = 0
     if not grid.is_degenerate:
-        four_v_half = uv_blocked(HalfInt(m - 1), HalfInt(n - 1), tables)[1].quadrupled
+        four_v_half = uv_blocked(Fraction(m - 1, 2), Fraction(n - 1, 2), tables)[1].quadrupled
         unstable = 2 * m * n - u + 2 * four_v_half
     f_class = total // 2 - 1
     return CountBreakdown(

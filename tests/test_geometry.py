@@ -11,20 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gridthresh.geometry
-from gridthresh import (
-    GridSpec,
-    Line,
-    ThresholdFn,
-    classify,
-    complement_fn,
-    equivalent,
-    lattice_points_on,
-    zero_set,
-)
+from gridthresh import GridSpec, ThresholdFn, classify, complement_fn
 from gridthresh.errors import CandidateFamilyError
 from gridthresh.geometry import candidate_directions, scan_candidates
 
 from conftest import RANDOM_SEED
+from judges import Line, equivalent, lattice_points_on, zero_set
 
 
 def fn_from_points(grid, points):
@@ -35,7 +27,12 @@ def fn_from_points(grid, points):
 
 
 def points_of_mask(grid, mask):
-    return {grid.point_at(i) for i in range(grid.point_count) if (mask >> i) & 1}
+    return {p for i, p in enumerate(grid.points()) if (mask >> i) & 1}
+
+
+def in_f_class(f):
+    """Member of F: f(0, 0) = 0 and f is not the constant zero."""
+    return bool(f.zeros & 1) and f.zeros != (1 << f.grid.point_count) - 1
 
 
 # -- Line --------------------------------------------------------------------
@@ -137,9 +134,9 @@ def test_thresholdfn_validation_and_views():
     f = fn_from_points(grid, [(0, 0)])
     assert f.value_at(0, 0) == 0
     assert f.value_at(1, 1) == 1
-    assert f.zero_points() == [(0, 0)]
+    assert points_of_mask(grid, f.zeros) == {(0, 0)}
     assert not f.is_constant
-    assert f.in_f_class
+    assert in_f_class(f)
     with pytest.raises(ValueError):
         ThresholdFn(grid, 1 << 4)
 
@@ -210,7 +207,7 @@ def test_classify_counts_unstable_on_2x2():
     enum = enumerate_by_lines(grid)
     unstable = [
         f for f in enum.functions
-        if f.in_f_class and not classify(f, scan=enum.scan).is_stable
+        if in_f_class(f) and not classify(f, scan=enum.scan).is_stable
     ]
     assert len(unstable) == 7
 

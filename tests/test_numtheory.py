@@ -16,17 +16,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridthresh import (
-    HalfInt,
-    QuarterInt,
-    sieve,
-    u_mobius,
-    u_naive,
-    v_fast,
-    v_naive,
-)
+from gridthresh import QuarterInt, sieve, u_mobius, v_fast, v_naive
+from gridthresh.numtheory import _v_prepare
 
 from conftest import RANDOM_SEED
+from judges import u_naive
 
 
 # -- definition-level oracles, independent of the library internals --------
@@ -258,7 +252,7 @@ def test_v_naive_rejects_negative():
 
 @given(st.integers(0, 40), st.integers(0, 40))
 def test_v_symmetry(dt, dk):
-    assert v_naive(HalfInt(dt), HalfInt(dk)) == v_naive(HalfInt(dk), HalfInt(dt))
+    assert v_naive(Fraction(dt, 2), Fraction(dk, 2)) == v_naive(Fraction(dk, 2), Fraction(dt, 2))
 
 
 def test_v_fast_examples(tables512):
@@ -271,7 +265,7 @@ def test_v_fast_examples(tables512):
 def test_v_fast_equals_naive_exhaustive_small(tables512):
     for dt in range(0, 61):
         for dk in range(dt, 61):
-            th, kh = HalfInt(dt), HalfInt(dk)
+            th, kh = Fraction(dt, 2), Fraction(dk, 2)
             assert v_fast(th, kh, tables512) == v_naive(th, kh), (dt, dk)
 
 
@@ -279,7 +273,7 @@ def test_v_fast_equals_naive_random_large(tables512):
     rng = random.Random(RANDOM_SEED)
     for _ in range(40):
         dt, dk = rng.randint(0, 800), rng.randint(0, 800)
-        th, kh = HalfInt(dt), HalfInt(dk)
+        th, kh = Fraction(dt, 2), Fraction(dk, 2)
         assert v_fast(th, kh, tables512) == v_naive(th, kh), (dt, dk)
 
 
@@ -301,7 +295,7 @@ def quad(t, k, tables=_IDENTITY_TABLES):
 @given(st.integers(1, 60), st.integers(1, 60))
 def test_vprop1_halves_between_consecutive(t, k):
     lhs = quad(t, k - 1) + quad(t, k)
-    rhs = 2 * quad(t, HalfInt(2 * k - 1))
+    rhs = 2 * quad(t, Fraction(2 * k - 1, 2))
     assert lhs == rhs
 
 
@@ -309,8 +303,8 @@ def test_vprop1_for_half_integer_t():
     # the identity is stated for real t; exercise half-integer t too
     for dt in range(0, 31):
         for k in range(1, 16):
-            lhs = quad(HalfInt(dt), k - 1) + quad(HalfInt(dt), k)
-            assert lhs == 2 * quad(HalfInt(dt), HalfInt(2 * k - 1))
+            lhs = quad(Fraction(dt, 2), k - 1) + quad(Fraction(dt, 2), k)
+            assert lhs == 2 * quad(Fraction(dt, 2), Fraction(2 * k - 1, 2))
 
 
 @given(st.integers(1, 25), st.integers(1, 25))
@@ -342,27 +336,32 @@ def test_vprop5_half_shift(t, k):
     u = u_mobius(t, k, _IDENTITY_TABLES)
     q1 = quad(t, k - 1)
     q2 = quad(t - 1, k)
-    qh = quad(HalfInt(2 * t - 1), HalfInt(2 * k - 1))
+    qh = quad(Fraction(2 * t - 1, 2), Fraction(2 * k - 1, 2))
     assert 4 * u + 2 * (q1 + q2) == 4 * qh
 
 
 # -- half/quarter integer plumbing ------------------------------------------
 
 def test_halfint_coercion():
-    assert HalfInt.coerce(3) == HalfInt(6)
-    assert HalfInt.coerce(Fraction(7, 2)) == HalfInt(7)
-    assert HalfInt.coerce(HalfInt(5)) == HalfInt(5)
+    # an int, any integer operator.index accepts, or a Fraction with
+    # denominator 1 or 2; the kernels see it doubled
+    assert _v_prepare(3, Fraction(7, 2))[:2] == (6, 7)
+    assert _v_prepare(np.int64(3), Fraction(6, 2))[:2] == (6, 6)
+    assert _v_prepare(np.int32(-1), Fraction(-1, 2))[:2] == (-2, -1)
+    assert v_naive(np.int64(5), np.uint8(3)) == v_naive(5, 3)
+    assert v_fast(Fraction(7, 2), np.int16(3), _IDENTITY_TABLES) == v_naive(Fraction(7, 2), 3)
     with pytest.raises(ValueError):
-        HalfInt.coerce(Fraction(1, 3))
+        v_naive(Fraction(1, 3), 2)
     with pytest.raises(TypeError):
-        HalfInt.coerce(1.5)
+        v_naive(1.5, 2)
+    with pytest.raises(TypeError):
+        v_fast(2, 2.0, _IDENTITY_TABLES)
 
 
 def test_halfint_ceil():
-    assert HalfInt(6).ceil == 3
-    assert HalfInt(7).ceil == 4
-    assert HalfInt(-1).ceil == 0
-    assert HalfInt(-2).ceil == -1
+    assert _v_prepare(6, Fraction(7, 2))[2:] == (6, 4)
+    assert _v_prepare(Fraction(3, 1), np.int64(3))[2:] == (3, 3)
+    assert _v_prepare(Fraction(-1, 2), -1)[2:] == (0, -1)
 
 
 def test_quarterint_exactness():

@@ -534,7 +534,7 @@ def test_flip_bijection_between_f_class_and_its_mirror():
     grid = GridSpec(3, 2)
     result = enumerate_by_lines(grid)
     full = (1 << grid.point_count) - 1
-    in_f = {f.zeros for f in result.functions if f.in_f_class}
+    in_f = {f.zeros for f in result.functions if f.zeros & 1 and f.zeros != full}
     mirrored = {m ^ full for m in in_f}
     outside = {f.zeros for f in result.functions} - in_f - {0, full}
     # f -> 1 - f is a bijection between F and the non-constant functions

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 import gridthresh.cli
-from gridthresh import NTTables, count_p_sequence, uv_square_sequence
+from gridthresh import NTTables, count_p_sequence
 from gridthresh.cli import EXIT_INTERNAL, EXIT_OK, _bfile_lines, main
 from gridthresh.numtheory import _SPAN, _square_chunks
+
+from judges import uv_square_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 

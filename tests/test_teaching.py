@@ -23,7 +23,6 @@ from gridthresh import (
     enumerate_by_subsets,
     forced_points,
     min_teaching_set,
-    predict_size,
     sieve,
 )
 from gridthresh.errors import CandidateFamilyError
@@ -99,11 +98,17 @@ def test_min_teaching_set_requires_membership():
         min_teaching_set(diagonal, enum)
 
 
-def test_predict_size_rejects_constants():
+def test_rule_gives_no_size_to_constants():
+    # the 3/4 rule does not apply to the two constants: neither their
+    # reports nor their census entries carry a predicted size
     grid = GridSpec(2, 2)
     enum = enumerate_by_lines(grid)
-    with pytest.raises(ValueError):
-        predict_size(ThresholdFn(grid, 0), enum)
+    full = (1 << grid.point_count) - 1
+    for zeros in (0, full):
+        assert min_teaching_set(ThresholdFn(grid, zeros), enum).predicted_size is None
+    result = census(grid, enum)
+    constants = [p for zeros, p in zip(result.zero_sets, result.predicted) if zeros in (0, full)]
+    assert constants == [None, None]
 
 
 def test_census_histogram_3x3():
