@@ -1,9 +1,11 @@
 """Command-line frontend.
 
-Subcommands: count, oracle, oeis, teach, asympt, bench.  Big integers are
-always rendered as exact decimal strings.  Exit codes: 0 success (and all
-checks matched), 1 usage error (bad arguments, or an output path or
-stdout that cannot be written), 2 capacity error, 3 validation mismatch
+Subcommands: count, oracle, oeis, teach, asympt, bench.  `oracle` and
+`teach` run the oracles that admit the grid (oracle.admits), and exit 2
+before any work where none does.  Big integers are always rendered as
+exact decimal strings.  Exit codes: 0 success (and all checks matched),
+1 usage error (bad arguments, or an output path or stdout that cannot
+be written), 2 capacity error, 3 validation mismatch
 (a formula or oracle disagreement, or a gap in the candidate-line family
 found by `oracle` or `teach`; the witness goes to stderr), 4 internal
 error (any other exception the library raises, a fault of the library
@@ -29,8 +31,9 @@ from .errors import CandidateFamilyError, CapacityError
 from .grid import GridSpec
 from .numtheory import NTTables, _square_chunks, kernel_sieve_limit, sieve
 from .numtheory import u_mobius  # noqa: F401  (names perfbench/spans.py wraps)
-from .oracle import cross_validate, dump_functions, enumerate_by_lines, enumerate_by_subsets
-from .oracle import require_admitted
+from .oracle import cross_validate, dump_functions, require_an_oracle
+from .oracle import enumerate_by_lines  # noqa: F401  (names perfbench/spans.py wraps)
+from .oracle import enumerate_by_subsets  # noqa: F401  (names perfbench/spans.py wraps)
 from .teaching import census
 
 EXIT_OK = 0
@@ -156,31 +159,22 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = _grid(args.m, args.n)
     started = time.perf_counter()
-    # refuse past a requested oracle's cap before any work; cross_validate
-    # reuses these results and runs any other oracle that fits, on one scan
-    methods = ("subsets", "lines") if args.method == "both" else (args.method,)
-    for method in methods:
-        require_admitted(method, grid)
-    subsets = enumerate_by_subsets(grid) if "subsets" in methods else None
-    scan = subsets.scan if subsets is not None else None
-    lines = enumerate_by_lines(grid, scan=scan) if "lines" in methods else None
+    require_an_oracle(grid)  # before anything is sieved
+    report = cross_validate(grid, sieve(kernel_sieve_limit(grid.m, grid.n)))
     if args.dump:
         with _writing(args.dump):
-            dump_functions(lines if lines is not None else subsets, args.dump)
-    tables = sieve(kernel_sieve_limit(grid.m, grid.n))
-    report = cross_validate(grid, tables, subsets=subsets, lines=lines)
+            dump_functions(report.enumeration, args.dump)
     record = {
         "command": "oracle",
         "m": grid.m,
         "n": grid.n,
-        "method": args.method,
         "formula_total": str(report.formula_total),
         "formula_stable": str(report.formula_stable),
         "formula_unstable": str(report.formula_unstable),
         "subset_total": None if report.subset_total is None else str(report.subset_total),
         "lines_total": None if report.lines_total is None else str(report.lines_total),
-        "oracle_stable": None if report.oracle_stable is None else str(report.oracle_stable),
-        "oracle_unstable": None if report.oracle_unstable is None else str(report.oracle_unstable),
+        "oracle_stable": str(report.oracle_stable),
+        "oracle_unstable": str(report.oracle_unstable),
         "provenance": report.provenance,
         "all_match": report.all_match,
         "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
@@ -304,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="cross-validate formulas against brute force")
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--method", choices=("subsets", "lines", "both"), default="both")
     p_oracle.add_argument("--dump", metavar="PATH", help="write enumerated zero bit-strings")
     p_oracle.add_argument("--format", choices=("json", "csv"), default="json")
     p_oracle.set_defaults(run=_cmd_oracle)

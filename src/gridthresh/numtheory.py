@@ -636,12 +636,14 @@ def _mertens_recurse(xs: list[int], limit: int, points: np.ndarray, values: np.n
     x // d from ``points``; the d > r are grouped by v = x // d <= r, each
     v weighted by the power sums over its range of d.  The terms from
     ``points`` are built for a group of xs at once (np.repeat offsets and
-    one searchsorted) and summed per x with reduceat, a group holding at
-    most _SPAN of them unless one x alone has more.  The few
-    terms from the xs before follow in a Python loop in ascending x, so
-    each x // q is computed before it is read: xs are closed under
+    one searchsorted for the x // d) and summed per x with reduceat, a
+    group holding at most _SPAN of them unless one x alone has more.  The
+    few terms from the xs before follow in a Python loop in ascending x,
+    so each x // q is computed before it is read: xs are closed under
     x -> x // q past the limit, as _block_ends makes them.  points must
-    hold every x // d and v that is read, with their sums in ``values``.
+    hold every x // d that is read, with their sums in ``values``, and
+    open with 1, 2, ..., max(isqrt(x)), as in _block_ends: each v <= r is
+    read by position, at v - 1.
     """
     roots = [math.isqrt(x) for x in xs]
     above: dict[int, tuple[int, int, int]] = {}
@@ -669,8 +671,9 @@ def _recurse_group(xs: list[int], roots: list[int], limit: int, points: np.ndarr
     bounds = np.maximum(np.repeat(x, n_v + 1) // v, np.repeat(r, n_v + 1))
     inner = np.ones(len(v), dtype=bool)
     inner[np.cumsum(n_v + 1) - 1] = False
-    at = values.take(np.searchsorted(points, np.concatenate((np.repeat(x, n_d) // d, v[inner]))),
-                     axis=1)
+    # points open with 1, 2, ..., max(r), so every v <= r sits at v - 1
+    at = values.take(np.concatenate((np.searchsorted(points, np.repeat(x, n_d) // d),
+                                     v[inner] - 1)), axis=1)
     top = int(x[-1])
     d_powers = (np.ones_like(d), d, d * d)
     sums = []

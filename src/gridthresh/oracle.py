@@ -10,9 +10,9 @@ Two independent enumerations of all threshold functions on a grid:
   in geometry and deduplicates the resulting zero-sets.
 
 Both oracles read the stable/unstable split of F and its vertices from a
-candidate scan, by lookup in its stable masks and vertex map, and both
-take an optional ``scan``: the scan of the grid that the other oracle
-already holds, so one request scans the candidate family once.  An
+candidate scan, by lookup in its stable masks and vertex map.  An oracle
+runs iff admits() admits the grid, in cross_validate, which runs every
+such oracle on one scan, and in teaching.census alike.  An
 EnumerationResult holds the zero bit-sets as a frozenset; their
 ascending tuple and their ThresholdFn list are built only when read.
 
@@ -90,20 +90,29 @@ from .numtheory import NTTables
 # cap, and past it the line oracle alone
 SUBSET_POINT_CAP = 64
 # the scan grows with (2m + 1)(2n + 1) / 2 directions times (m + 1)(n + 1)
-# points, and the result with its masks: `oracle --method lines` takes
-# 0.5-0.7 s and 66 MB peak RSS on 20 x 20, 1.7-1.8 s and 128 MB on 25 x 25,
-# and 3.5-3.7 s and 260 MB on 30 x 30, its 561 834 functions (3 fresh
-# processes, 2 shared vCPUs, Python 3.11); past the cap it is refused
+# points, and the result with its masks: the line oracle takes 0.5-0.7 s
+# and 66 MB peak RSS on 20 x 20, 1.7-1.8 s and 128 MB on 25 x 25, and
+# `oracle --m 30 --n 30` 3.5-3.7 s and 260 MB, its 561 834 functions (3
+# fresh processes, 2 shared vCPUs, Python 3.11); past the cap it is refused
 LINES_EXTENT_CAP = 30
 
 Method = Literal["subsets", "lines"]
 
 
 def admits(method: Method, grid: GridSpec) -> bool:
-    """Whether the oracle ``method`` runs on ``grid`` within its cap."""
+    """Whether the oracle ``method`` runs on ``grid`` within its cap: the
+    one test of which oracles run."""
     if method == "subsets":
         return grid.point_count <= SUBSET_POINT_CAP
     return max(grid.m, grid.n) <= LINES_EXTENT_CAP
+
+
+def require_an_oracle(grid: GridSpec) -> None:
+    """Raise CapacityError unless some oracle admits ``grid``."""
+    if not (admits("subsets", grid) or admits("lines", grid)):
+        raise CapacityError(f"grid ({grid.m}, {grid.n}) is beyond both oracle ranges: "
+                            f"more than {SUBSET_POINT_CAP} points and a side above "
+                            f"{LINES_EXTENT_CAP}")
 
 
 def require_admitted(method: Method, grid: GridSpec) -> None:
@@ -132,7 +141,6 @@ class EnumerationResult:
     masks: frozenset[int] = field(repr=False)
     stable_count: int
     unstable_count: int
-    method: Method
     vertices: dict[int, Point]
     scan: CandidateScan = field(repr=False)
 
@@ -299,7 +307,7 @@ def enumerate_by_subsets(grid: GridSpec, *,
             kept.update(_renderings(lengths, span + 1, line, point))
     if scan is None:
         scan = scan_candidates(grid)
-    return _classified(grid, kept, "subsets", scan)
+    return _classified(grid, kept, scan)
 
 
 def enumerate_by_lines(grid: GridSpec, *,
@@ -311,11 +319,10 @@ def enumerate_by_lines(grid: GridSpec, *,
     require_admitted("lines", grid)
     if scan is None:
         scan = scan_candidates(grid)
-    return _classified(grid, scan.masks, "lines", scan)
+    return _classified(grid, scan.masks, scan)
 
 
-def _classified(grid: GridSpec, masks: Iterable[int], method: Method,
-                scan: CandidateScan) -> EnumerationResult:
+def _classified(grid: GridSpec, masks: Iterable[int], scan: CandidateScan) -> EnumerationResult:
     """The enumeration result of ``masks``, with F split by lookups in
     the scan, as CandidateScan.classify splits one mask.
 
@@ -341,7 +348,6 @@ def _classified(grid: GridSpec, masks: Iterable[int], method: Method,
         masks=masks,
         stable_count=len(in_f) - len(unstable),
         unstable_count=len(unstable),
-        method=method,
         vertices=vertices,
         scan=scan,
     )
@@ -362,69 +368,46 @@ class CrossValidationReport:
     provenance: str
     subset_total: Optional[int]
     lines_total: Optional[int]
-    oracle_stable: Optional[int]
-    oracle_unstable: Optional[int]
+    oracle_stable: int
+    oracle_unstable: int
     total_matches: bool
     split_matches: bool
     oracles_agree: bool
     witnesses: list[str]
+    enumeration: EnumerationResult = field(repr=False)  # the line oracle's if it ran
 
     @property
     def all_match(self) -> bool:
         return self.total_matches and self.split_matches and self.oracles_agree
 
 
-def cross_validate(grid: GridSpec, tables: NTTables, *,
-                   subsets: Optional[EnumerationResult] = None,
-                   lines: Optional[EnumerationResult] = None) -> CrossValidationReport:
-    """Run whichever oracles fit the grid and compare them to the formulas.
+def cross_validate(grid: GridSpec, tables: NTTables) -> CrossValidationReport:
+    """Run every oracle that admits the grid and compare them to the formulas.
 
-    ``subsets`` and ``lines`` are results of enumerate_by_subsets and
-    enumerate_by_lines for this grid that the caller already holds; they
-    are used as given, and only the oracles not passed in are run, on the
-    candidate scan of the first oracle.
-
-    Mismatches are report content, not errors; each carries the disputed
-    bit-sets as witnesses.  A passed result of another grid raises
-    ValueError.
+    Raises CapacityError before enumerating anything when no oracle admits
+    the grid.  The oracles share one candidate scan, and the subset
+    oracle, where it runs, gives the split.  Mismatches are report
+    content, not errors; each carries the disputed bit-sets as witnesses.
     """
-    if any(r is not None and r.grid != grid for r in (subsets, lines)):
-        raise ValueError("oracle result was enumerated for a different grid")
-    if subsets is None and admits("subsets", grid):
-        subsets = enumerate_by_subsets(grid, scan=lines.scan if lines is not None else None)
-    if lines is None and admits("lines", grid):
+    require_an_oracle(grid)
+    subsets = enumerate_by_subsets(grid) if admits("subsets", grid) else None
+    lines = None
+    if admits("lines", grid):
         lines = enumerate_by_lines(grid, scan=subsets.scan if subsets is not None else None)
-    if subsets is None and lines is None:
-        raise CapacityError(f"grid ({grid.m}, {grid.n}) is beyond both oracle ranges")
 
     counts = breakdown(grid, tables)
-    witnesses: list[str] = []
-
-    oracles_agree = True
-    if subsets is not None and lines is not None:
-        diff = subsets.masks.symmetric_difference(lines.masks)
-        if diff:
-            oracles_agree = False
-            witnesses += [_witness(grid, m, "oracle disagreement") for m in sorted(diff)[:8]]
-
-    primary = subsets if subsets is not None else lines
-    assert primary is not None
-    total_matches = len(primary) == counts.total
-    if subsets is not None and lines is not None:
-        total_matches = total_matches and len(lines) == counts.total
+    results = [r for r in (subsets, lines) if r is not None]
+    primary = results[0]
+    diff = subsets.masks ^ lines.masks if len(results) == 2 else frozenset()
+    witnesses = [_witness(grid, m, "oracle disagreement") for m in sorted(diff)[:8]]
+    total_matches = all(len(r) == counts.total for r in results)
     if not total_matches:
-        witnesses.append(
-            f"count mismatch: formula {counts.total}, oracle {len(primary)}"
-        )
-
-    oracle_stable = primary.stable_count
-    oracle_unstable = primary.unstable_count
-    split_matches = (oracle_stable == counts.stable and oracle_unstable == counts.unstable)
+        witnesses.append(f"count mismatch: formula {counts.total}, oracle {len(primary)}")
+    split = primary.stable_count, primary.unstable_count
+    split_matches = split == (counts.stable, counts.unstable)
     if not split_matches:
-        witnesses.append(
-            f"split mismatch: formula {counts.stable}/{counts.unstable}, "
-            f"oracle {oracle_stable}/{oracle_unstable}"
-        )
+        witnesses.append(f"split mismatch: formula {counts.stable}/{counts.unstable}, "
+                         f"oracle {split[0]}/{split[1]}")
 
     return CrossValidationReport(
         grid=grid,
@@ -434,12 +417,13 @@ def cross_validate(grid: GridSpec, tables: NTTables, *,
         provenance=counts.provenance,
         subset_total=len(subsets) if subsets is not None else None,
         lines_total=len(lines) if lines is not None else None,
-        oracle_stable=oracle_stable,
-        oracle_unstable=oracle_unstable,
+        oracle_stable=split[0],
+        oracle_unstable=split[1],
         total_matches=total_matches,
         split_matches=split_matches,
-        oracles_agree=oracles_agree,
+        oracles_agree=not diff,
         witnesses=witnesses,
+        enumeration=results[-1],
     )
 
 

@@ -42,9 +42,9 @@ and its complement from that result's candidate scan, by lookup in its
 stable masks and vertex map, so a census scans its grid once.  A census
 costs O(|universe| (P + |universe|)), so grids above TEACH_POINT_CAP
 points are refused with CapacityError before anything is enumerated.
-A census that enumerates its own universe runs the line oracle, which
-also refuses a side above oracle.LINES_EXTENT_CAP = 30 with
-CapacityError before it scans: so grid (31, 0), of 32 points, is refused.
+A census that enumerates its own universe takes the line oracle's where
+oracle.admits admits it and the subset oracle's otherwise, so (1, 31)
+runs; a grid that neither admits, such as (1, 39), is refused first.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ from .errors import CandidateFamilyError, CapacityError
 from .geometry import CandidateScan, Point, ThresholdFn, _complement_mask, _witness
 from .geometry import classify, scan_candidates  # noqa: F401  (names perfbench/spans.py wraps)
 from .grid import GridSpec
-from .oracle import EnumerationResult, enumerate_by_lines
+from .oracle import EnumerationResult, admits, enumerate_by_lines, enumerate_by_subsets
+from .oracle import require_an_oracle
 
 # an 8 x 8 grid (81 points, 4082 functions, the most functions of any grid
 # within this cap) takes 0.11-0.13 s and 31 MB peak RSS for `teach --check`
@@ -261,13 +262,15 @@ def census(grid: GridSpec, universe: Optional[EnumerationResult] = None) -> Cens
     function of the grid.
 
     ``universe``, if given, is the grid's enumeration and is not redone;
-    otherwise enumerate_by_lines builds it.  Raises CapacityError before
-    enumerating when the grid has more than TEACH_POINT_CAP points, or,
-    with no universe given, a side above LINES_EXTENT_CAP.
+    otherwise the line oracle builds it where it admits the grid, and the
+    subset oracle elsewhere.  Raises CapacityError before enumerating when
+    the grid has more than TEACH_POINT_CAP points, or, with no universe
+    given, when no oracle admits it.
     """
     _check_capacity(grid)
     if universe is None:
-        universe = enumerate_by_lines(grid)
+        require_an_oracle(grid)
+        universe = (enumerate_by_lines if admits("lines", grid) else enumerate_by_subsets)(grid)
     elif universe.grid != grid:
         raise ValueError("universe was enumerated for a different grid")
     teacher = _teacher(universe)

@@ -13,7 +13,8 @@ import pytest
 import gridthresh.cli
 import gridthresh.oracle
 import gridthresh.teaching
-from gridthresh import GridSpec, NTTables, count_p, count_total, cross_validate, sieve, u_mobius
+from gridthresh import GridSpec, NTTables, census, count_p, count_total, cross_validate
+from gridthresh import dump_functions, enumerate_by_subsets, sieve, u_mobius
 from gridthresh.cli import (
     COUNT_SIDE_CAP,
     EXIT_CAPACITY,
@@ -104,54 +105,62 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_oracle_match_exit_zero(capsys):
-    code, out, _ = run(capsys, "oracle", "--m", "2", "--n", "2", "--method", "subsets")
+    code, out, _ = run(capsys, "oracle", "--m", "2", "--n", "2")
     assert code == EXIT_OK
     record = json.loads(out)
     assert record["all_match"] is True
-    assert record["subset_total"] == "58"
+    assert record["subset_total"] == record["lines_total"] == "58"
 
 
-def test_oracle_lines_method(capsys):
-    code, out, _ = run(capsys, "oracle", "--m", "6", "--n", "6", "--method", "lines")
+def test_oracle_lines_method(capsys, monkeypatch):
+    # 8 x 8 has 81 points, past the subset cap: the line oracle runs alone
+    def refuse(*args):
+        raise AssertionError("the subset oracle ran past its cap")
+
+    monkeypatch.setattr(gridthresh.oracle, "_walk", refuse)
+    code, out, _ = run(capsys, "oracle", "--m", "8", "--n", "8")
     assert code == EXIT_OK
-    assert json.loads(out)["all_match"] is True
+    record = json.loads(out)
+    assert record["all_match"] is True and record["subset_total"] is None
+    assert record["lines_total"] == record["formula_total"] == "4082"
 
 
 def test_oracle_default_method_on_6x6_runs_both_oracles(capsys):
     code, out, _ = run(capsys, "oracle", "--m", "6", "--n", "6")
     assert code == EXIT_OK
     record = json.loads(out)
-    assert record["method"] == "both" and record["all_match"] is True
+    assert "method" not in record and record["all_match"] is True
     assert record["subset_total"] == record["lines_total"] == record["formula_total"] == "1498"
 
 
-def test_oracle_past_subset_cap_exits_capacity_before_scanning(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("enumerated past the subset cap")
-
-    monkeypatch.setattr(gridthresh.oracle, "scan_candidates", refuse)
-    monkeypatch.setattr(gridthresh.oracle, "_walk", refuse)
-    code, out, err = run(capsys, "oracle", "--m", "8", "--n", "8", "--method", "subsets")
-    assert code == EXIT_CAPACITY
-    assert out == "" and "capped at 64" in err
-
-
-def test_oracle_refuses_every_requested_method_before_enumerating(capsys, monkeypatch):
-    # 0 x 40 is within the subset cap and past the line cap; the default
-    # method asks for both oracles, so it is refused before either runs
+def _refuse_oracles(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated or sieved before the capacity check")
 
     monkeypatch.setattr(gridthresh.oracle, "scan_candidates", refuse)
     monkeypatch.setattr(gridthresh.oracle, "_walk", refuse)
     monkeypatch.setattr(gridthresh.cli, "sieve", refuse)
-    code, out, err = run(capsys, "oracle", "--m", "0", "--n", "40")
+
+
+def test_oracle_past_subset_cap_exits_capacity_before_scanning(capsys, monkeypatch):
+    # 0 x 64 has 65 points, one past the subset cap, and a side past the line cap
+    _refuse_oracles(monkeypatch)
+    code, out, err = run(capsys, "oracle", "--m", "0", "--n", "64")
     assert code == EXIT_CAPACITY
-    assert out == "" and "line-enumeration cap" in err
+    assert out == "" and "more than 64 points" in err
+
+
+def test_oracle_refuses_every_requested_method_before_enumerating(capsys, monkeypatch):
+    # 1 x 39 has 80 points and a side of 39: neither oracle admits it, so
+    # neither runs, and nothing is sieved
+    _refuse_oracles(monkeypatch)
+    code, out, err = run(capsys, "oracle", "--m", "1", "--n", "39")
+    assert code == EXIT_CAPACITY
+    assert out == "" and "beyond both oracle ranges" in err
 
 
 def test_oracle_capacity_exit(capsys):
-    code, _, err = run(capsys, "oracle", "--m", "10", "--n", "10", "--method", "subsets")
+    code, _, err = run(capsys, "oracle", "--m", "10", "--n", "31")
     assert code == EXIT_CAPACITY
     assert "capacity" in err.lower()
 
@@ -165,20 +174,43 @@ def test_oracle_scans_once_per_oracle_and_ignores_method(capsys, monkeypatch):
         return original(grid)
 
     monkeypatch.setattr(gridthresh.oracle, "scan_candidates", counted)
-    records = {}
-    for method in ("subsets", "lines", "both"):
-        scans.clear()
-        code, out, _ = run(capsys, "oracle", "--m", "3", "--n", "2", "--method", method)
-        assert code == EXIT_OK
-        assert len(scans) == 1   # both oracles read one scan
-        record = json.loads(out)
-        record.pop("elapsed_ms")
-        assert record.pop("method") == method
-        records[method] = record
-    assert records["subsets"] == records["lines"] == records["both"]
+    code, out, _ = run(capsys, "oracle", "--m", "3", "--n", "2")
+    assert code == EXIT_OK
+    assert len(scans) == 1   # both oracles read one scan
+    record = json.loads(out)
+    assert record["subset_total"] == record["lines_total"] == record["formula_total"]
     scans.clear()
     assert cross_validate(GridSpec(3, 2), sieve(2)).all_match
     assert len(scans) == 1
+
+
+def test_oracle_method_option_is_gone(capsys):
+    for method in ("subsets", "lines", "both"):
+        code, out, err = run(capsys, "oracle", "--m", "2", "--n", "2", "--method", method)
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --method" in err
+
+
+@pytest.mark.parametrize("m, n, functions", [(0, 40, 82), (0, 63, 128)])
+def test_oracle_runs_the_subset_oracle_alone_past_the_line_cap(capsys, m, n, functions):
+    code, out, _ = run(capsys, "oracle", "--m", str(m), "--n", str(n))
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["all_match"] is True and record["lines_total"] is None
+    assert record["subset_total"] == record["formula_total"] == str(functions)
+
+
+@pytest.mark.parametrize("argv", [("oracle", "--m", "31", "--n", "31"),
+                                  ("teach", "--m", "1", "--n", "39")],
+                         ids=["oracle-31x31", "teach-1x39"])
+def test_no_oracle_admits_exits_capacity_with_one_message(capsys, monkeypatch, argv):
+    # 1 x 39 has 80 points, within the teaching cap of 81
+    _refuse_oracles(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAPACITY and out == ""
+    grid = f"({argv[2]}, {argv[4]})"
+    assert err == (f"capacity error: grid {grid} is beyond both oracle ranges: "
+                   "more than 64 points and a side above 30\n")
 
 
 def test_oracle_family_gap_exits_mismatch(capsys, monkeypatch):
@@ -214,6 +246,28 @@ def test_oracle_dump(capsys, tmp_path):
     code, _, _ = run(capsys, "oracle", "--m", "1", "--n", "1", "--dump", str(path))
     assert code == EXIT_OK
     assert len(path.read_text().splitlines()) == 14
+
+
+def test_oracle_dump_writes_the_line_oracles_functions_when_it_ran(capsys, monkeypatch, tmp_path):
+    original = gridthresh.oracle.enumerate_by_lines
+
+    def lossy(grid, **kwargs):
+        result = original(grid, **kwargs)
+        return dataclasses.replace(result, masks=result.masks - {max(result.masks)})
+
+    # the line oracle ran and lost one function: the dump holds its 57
+    monkeypatch.setattr(gridthresh.oracle, "enumerate_by_lines", lossy)
+    path = tmp_path / "lines.txt"
+    code, _, _ = run(capsys, "oracle", "--m", "2", "--n", "2", "--dump", str(path))
+    assert code == EXIT_MISMATCH
+    assert len(path.read_text().splitlines()) == 57
+    # only the subset oracle admits 0 x 40: the dump holds its functions
+    path = tmp_path / "subsets.txt"
+    code, _, _ = run(capsys, "oracle", "--m", "0", "--n", "40", "--dump", str(path))
+    assert code == EXIT_OK
+    expected = tmp_path / "expected.txt"
+    dump_functions(enumerate_by_subsets(GridSpec(0, 40)), str(expected))
+    assert path.read_text() == expected.read_text() and len(path.read_text().splitlines()) == 82
 
 
 def test_oeis_a114146(capsys):
@@ -311,12 +365,21 @@ def test_teach_past_point_cap_exits_capacity_before_enumerating(capsys, monkeypa
 
 
 def test_teach_past_the_line_extent_cap_exits_capacity(capsys):
-    # 32 points are within TEACH_POINT_CAP, but the census takes its universe
-    # from the line oracle, which refuses a side past LINES_EXTENT_CAP first
-    code, out, err = run(capsys, "teach", "--m", "31", "--n", "0")
+    # 66 points are within TEACH_POINT_CAP, but the census takes its universe
+    # from an oracle, and 32 x 1 is past both the line and the subset cap
+    code, out, err = run(capsys, "teach", "--m", "32", "--n", "1")
     assert code == EXIT_CAPACITY and out == ""
-    assert err == "capacity error: grid (31, 0) exceeds the line-enumeration cap of 30\n"
+    assert err == ("capacity error: grid (32, 1) is beyond both oracle ranges: "
+                   "more than 64 points and a side above 30\n")
     assert run(capsys, "teach", "--m", "30", "--n", "1", "--check")[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("m, n", [(1, 31), (31, 1), (0, 63)])
+def test_teach_past_the_line_cap_takes_the_subset_oracles_universe(capsys, m, n):
+    code, out, _ = run(capsys, "teach", "--m", str(m), "--n", str(n), "--check")
+    assert code == EXIT_OK
+    grid = GridSpec(m, n)
+    assert out == census(grid, universe=enumerate_by_subsets(grid)).to_csv()
 
 
 def test_teach_vertex_gap_outside_f_exits_mismatch(capsys, monkeypatch):
@@ -389,11 +452,9 @@ def test_count_and_bench_past_side_cap_exit_capacity_before_sieving(capsys, monk
     assert out == "" and "capacity" in err.lower()
 
 
-@pytest.mark.parametrize("method", ["subsets", "lines", "both"])
-def test_oracle_past_caps_exits_capacity_before_sieving(capsys, monkeypatch, method):
+def test_oracle_past_caps_exits_capacity_before_sieving(capsys, monkeypatch):
     _refuse_tables(monkeypatch)
-    code, out, err = run(capsys, "oracle", "--m", str(10**9), "--n", str(10**9),
-                         "--method", method)
+    code, out, err = run(capsys, "oracle", "--m", str(10**9), "--n", str(10**9))
     assert code == EXIT_CAPACITY
     assert out == "" and "capacity" in err.lower()
 

@@ -273,7 +273,7 @@ def staircase_judge(grid):
         ones = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
         if hull_separable(zeros, ones):
             kept.append(mask)
-    return _classified(grid, kept, "subsets", scan_candidates(grid))
+    return _classified(grid, kept, scan_candidates(grid))
 
 
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(20) for n in range(20)
@@ -374,7 +374,7 @@ def split_or_fault(classify, grid, masks, scan):
 
 
 def lookup_split(grid, masks, scan):
-    result = _classified(grid, masks, "lines", scan)
+    result = _classified(grid, masks, scan)
     return result.stable_count, result.unstable_count, result.vertices
 
 
@@ -429,7 +429,7 @@ def test_split_by_lookup_reports_the_first_fault_in_mask_order():
             vertices={k: v for k, v in scan.vertices.items() if k != vertexless})
         bits = format(min(missing, vertexless), f"0{grid.point_count}b")[::-1]
         with pytest.raises(CandidateFamilyError, match=f"{message}.*zeros={bits}"):
-            _classified(grid, masks, "lines", broken)
+            _classified(grid, masks, broken)
         assert split_or_fault(lookup_split, grid, masks, broken) == split_or_fault(
             classified_by_mask, grid, masks, broken)
 
@@ -557,9 +557,8 @@ def test_cross_validation_sweep_up_to_6x6():
     for m in range(7):
         for n in range(7):
             grid = GridSpec(m, n)
-            subsets = enumerate_by_subsets(grid)
-            lines = enumerate_by_lines(grid, scan=subsets.scan)
-            report = cross_validate(grid, TABLES, subsets=subsets, lines=lines)
+            report = cross_validate(grid, TABLES)
+            subsets, lines = enumerate_by_subsets(grid), report.enumeration
             assert report.all_match and report.witnesses == [], (m, n, report.witnesses)
             assert report.subset_total == report.lines_total == report.formula_total, (m, n)
             assert subsets.masks == lines.masks, (m, n)
@@ -579,15 +578,6 @@ def test_cross_validate_degenerate_uses_geometric_path():
     report = cross_validate(GridSpec(0, 5), TABLES)
     assert report.provenance == "geometric"
     assert report.all_match
-
-
-def test_cross_validate_rejects_results_of_another_grid():
-    small = GridSpec(1, 1)
-    with pytest.raises(ValueError, match="different grid"):
-        cross_validate(GridSpec(2, 2), TABLES, subsets=enumerate_by_subsets(small),
-                       lines=enumerate_by_lines(small))
-    with pytest.raises(ValueError, match="different grid"):
-        cross_validate(GridSpec(2, 2), TABLES, lines=enumerate_by_lines(small))
 
 
 def test_cross_validate_beyond_both_ranges():

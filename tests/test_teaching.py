@@ -20,7 +20,6 @@ from gridthresh import (
     complement_fn,
     cross_validate,
     enumerate_by_lines,
-    enumerate_by_subsets,
     forced_points,
     min_teaching_set,
     sieve,
@@ -417,10 +416,9 @@ def test_oracles_and_census_build_no_function_objects(monkeypatch):
     monkeypatch.setattr(gridthresh.oracle, "ThresholdFn", refuse)
     monkeypatch.setattr(gridthresh.teaching, "ThresholdFn", refuse)
     grid = GridSpec(3, 2)
-    subsets = enumerate_by_subsets(grid)
-    lines = enumerate_by_lines(grid, scan=subsets.scan)
-    assert cross_validate(grid, sieve(8), subsets=subsets, lines=lines).all_match
-    result = census(grid, universe=lines)
+    report = cross_validate(grid, sieve(8))
+    assert report.all_match
+    result = census(grid, universe=report.enumeration)
     assert result.histogram() == {3: 64, 4: 36} and result.mismatches() == []
     with pytest.raises(AssertionError, match="ThresholdFn"):
         result.reports
