@@ -452,9 +452,14 @@ def test_count_and_bench_past_side_cap_exit_capacity_before_sieving(capsys, monk
     assert out == "" and "capacity" in err.lower()
 
 
-def test_oracle_past_caps_exits_capacity_before_sieving(capsys, monkeypatch):
+@pytest.mark.parametrize("m, n", [
+    (0, 64),            # one point past the subset cap, a side past the line cap
+    (2, 31),            # one past the line cap, 96 points past the subset cap
+    (10**9, 10**9),     # far past both
+], ids=["subsets", "lines", "both"])
+def test_oracle_past_caps_exits_capacity_before_sieving(capsys, monkeypatch, m, n):
     _refuse_tables(monkeypatch)
-    code, out, err = run(capsys, "oracle", "--m", str(10**9), "--n", str(10**9))
+    code, out, err = run(capsys, "oracle", "--m", str(m), "--n", str(n))
     assert code == EXIT_CAPACITY
     assert out == "" and "capacity" in err.lower()
 
